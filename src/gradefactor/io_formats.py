@@ -119,6 +119,9 @@ def read_model_json(path):
     Q, N, K = payload["Q"], payload["N"], payload["K"]
     W = np.zeros((Q, K))
     for i, k, value in payload["W"]:
+        if not (type(i) is int and type(k) is int and 0 <= i < Q and 0 <= k < K):
+            raise ValueError(f"W triplet index ({i!r}, {k!r}) is not an integer or "
+                             f"is out of range for Q={Q}, K={K}")
         W[i, k] = value
     C = np.asarray(payload["C"], dtype=float)
     mu = np.asarray(payload["mu"], dtype=float)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,9 +43,8 @@ class MLConfig:
         or once the relative objective decrease falls below outer_tol.
     restarts : number of random initializations; the run with the lowest
         final objective wins.
-    reinit_heuristics : optional dictionary-learning style re-seeding of
-        near-duplicate C rows and all-zero W columns.  Off by default;
-        the monotone-objective guarantee does not cover it.
+
+    lambda_l1, gamma_c, mu_w and outer_tol must be finite.
     """
 
     lambda_l1: float
@@ -56,9 +56,11 @@ class MLConfig:
     restarts: int = 1
     seed: int = 0
     link: LinkKind = LinkKind.PROBIT
-    reinit_heuristics: bool = False
 
     def __post_init__(self):
+        for name in ("lambda_l1", "gamma_c", "mu_w", "outer_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lambda_l1 <= 0:
             raise ValueError("lambda_l1 must be positive")
         if self.gamma_c <= 0:
@@ -254,8 +256,8 @@ def objective_value(W_aug, C, data: ResponseMatrix, config: MLConfig) -> float:
     if (W_aug[:, :K] < 0).any():
         raise ValueError("concept weights must be non-negative")
     z = W_aug[:, :K] @ C + W_aug[:, K][:, None]
-    s = 2.0 * data.entries - 1.0
-    nll = -float(log_inv_link(s * z, config.link)[data.mask].sum())
+    obs = data.observed
+    nll = -float(log_inv_link(obs.sign * obs.gather(z), config.link).sum())
     pen = (
         config.lambda_l1 * float(np.abs(W_aug[:, :K]).sum())
         + 0.5 * config.mu_w * float((W_aug * W_aug).sum())
@@ -264,21 +266,40 @@ def objective_value(W_aug, C, data: ResponseMatrix, config: MLConfig) -> float:
     return nll + pen
 
 
-def _row_objectives(W_aug, C_aug, maskf, S, lam, mu_w, link):
-    Z = W_aug @ C_aug
-    nll = -(maskf * log_inv_link(S * Z, link)).sum(axis=1)
+# The batched kernels below take the observed cells `obs` of the response
+# matrix and a Q x N scratch array `buf` that is zero at every unobserved
+# cell.  The slack Z stays a dense matmul; the link kernels run on the
+# observed cells only, and their results are scattered into `buf`, whose
+# unobserved cells stay zero, so masked gradients and per-row or
+# per-column sums are plain dense operations on it.
+
+
+def _log_lik_cells(Z, obs, buf, link):
+    """buf with the log-likelihood of each observed cell under slack Z."""
+    return obs.scatter(buf, log_inv_link(obs.sign * obs.gather(Z), link))
+
+
+def _residual_cells(Z, obs, buf, link):
+    """buf with s * hazard(s * z) at each observed cell: minus the
+    derivative of the log-likelihood in the slack."""
+    s = obs.sign
+    return obs.scatter(buf, s * hazard(s * obs.gather(Z), link))
+
+
+def _row_objectives(W_aug, C_aug, obs, buf, lam, mu_w, link):
+    nll = -_log_lik_cells(W_aug @ C_aug, obs, buf, link).sum(axis=1)
     l1 = np.abs(W_aug[:, :-1]).sum(axis=1)
     l2 = (W_aug * W_aug).sum(axis=1)
     return nll + lam * l1 + 0.5 * mu_w * l2
 
 
-def _col_objectives(C, W_aug, maskf, S, gamma, link):
+def _col_objectives(C, W_aug, obs, buf, gamma, link):
     Z = W_aug[:, :-1] @ C + W_aug[:, -1][:, None]
-    nll = -(maskf * log_inv_link(S * Z, link)).sum(axis=0)
+    nll = -_log_lik_cells(Z, obs, buf, link).sum(axis=0)
     return nll + 0.5 * gamma * (C * C).sum(axis=0)
 
 
-def _phase_w(W_aug, C_aug, maskf, S, lam, mu_w, link, iters):
+def _phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters):
     """One alternation over all question rows at once.
 
     Rows carry individual step sizes from their masked designs.  A final
@@ -286,18 +307,18 @@ def _phase_w(W_aug, C_aug, maskf, S, lam, mu_w, link, iters):
     outer objective non-increasing even with few inner iterations.
     """
     d = W_aug.shape[1]
+    maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
     gram = np.einsum("kj,ij,lj->ikl", C_aug, maskf, C_aug, optimize=True)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     L = np.maximum(scalar_lipschitz(link) * sig2 + mu_w, _L_FLOOR)
     t = (1.0 / L)[:, None]
 
-    f_old = _row_objectives(W_aug, C_aug, maskf, S, lam, mu_w, link)
+    f_old = _row_objectives(W_aug, C_aug, obs, buf, lam, mu_w, link)
     x_prev = W_aug
     u = W_aug.copy()
     tau = 1.0
     for _ in range(iters):
-        Z = u @ C_aug
-        resid = maskf * S * hazard(S * Z, link)
+        resid = _residual_cells(u @ C_aug, obs, buf, link)
         grad = -resid @ C_aug.T + mu_w * u
         x_hat = u - t * grad
         x = x_hat.copy()
@@ -305,57 +326,40 @@ def _phase_w(W_aug, C_aug, maskf, S, lam, mu_w, link, iters):
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
         x_prev, tau = x, tau_next
-    f_new = _row_objectives(x_prev, C_aug, maskf, S, lam, mu_w, link)
+    f_new = _row_objectives(x_prev, C_aug, obs, buf, lam, mu_w, link)
     worse = f_new > f_old
     if worse.any():
         x_prev[worse] = W_aug[worse]
     return x_prev
 
 
-def _phase_c(C, W_aug, maskf, S, gamma, link, iters):
+def _phase_c(C, W_aug, obs, buf, gamma, link, iters):
     """One alternation over all learner columns at once."""
     W = W_aug[:, :-1]
     mu = W_aug[:, -1][:, None]
+    maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
     gram = np.einsum("ik,ij,il->jkl", W, maskf, W, optimize=True)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     L = np.maximum(scalar_lipschitz(link) * sig2, _L_FLOOR)
     t = 1.0 / L  # (N,)
 
-    f_old = _col_objectives(C, W_aug, maskf, S, gamma, link)
+    f_old = _col_objectives(C, W_aug, obs, buf, gamma, link)
     x_prev = C
     u = C.copy()
     tau = 1.0
     for _ in range(iters):
-        Z = W @ u + mu
-        resid = maskf * S * hazard(S * Z, link)
+        resid = _residual_cells(W @ u + mu, obs, buf, link)
         grad = -W.T @ resid
         x_hat = u - t * grad
         x = x_hat / (1.0 + gamma * t)
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
         x_prev, tau = x, tau_next
-    f_new = _col_objectives(x_prev, W_aug, maskf, S, gamma, link)
+    f_new = _col_objectives(x_prev, W_aug, obs, buf, gamma, link)
     worse = f_new > f_old
     if worse.any():
         x_prev[:, worse] = C[:, worse]
     return x_prev
-
-
-def _reinit_degenerate(W_aug, C, rng):
-    # Dictionary-learning style rescue: near-duplicate C rows and dead W
-    # columns are re-seeded.  Breaks the monotone-objective guarantee.
-    K = C.shape[0]
-    norms = np.linalg.norm(C, axis=1)
-    for a in range(K):
-        for b in range(a + 1, K):
-            if norms[a] > 0 and norms[b] > 0:
-                cos = abs(C[a] @ C[b]) / (norms[a] * norms[b])
-                if cos > 0.99:
-                    C[b] = rng.standard_normal(C.shape[1])
-                    norms[b] = np.linalg.norm(C[b])
-    for k in range(K):
-        if not W_aug[:, k].any():
-            W_aug[:, k] = np.abs(rng.standard_normal(W_aug.shape[0]))
 
 
 def _run_restart(data, K, config, seed_seq):
@@ -366,20 +370,19 @@ def _run_restart(data, K, config, seed_seq):
     W_aug[:, K] = rng.standard_normal(Q)
     C = rng.standard_normal((K, N))
 
-    Y = data.entries
-    maskf = data.mask.astype(float)
-    S = 2.0 * Y - 1.0
+    obs = data.observed
+    # scratch for the kernels; one per restart because restarts may run
+    # on a thread pool
+    buf = np.zeros((Q, N))
     ones = np.ones((1, N))
 
     objs = [objective_value(W_aug, C, data, config)]
-    for it in range(config.max_outer):
-        C = _phase_c(C, W_aug, maskf, S, config.gamma_c, config.link,
+    for _ in range(config.max_outer):
+        C = _phase_c(C, W_aug, obs, buf, config.gamma_c, config.link,
                      config.inner_iters)
         C_aug = np.vstack([C, ones])
-        W_aug = _phase_w(W_aug, C_aug, maskf, S, config.lambda_l1,
+        W_aug = _phase_w(W_aug, C_aug, obs, buf, config.lambda_l1,
                          config.mu_w, config.link, config.inner_iters)
-        if config.reinit_heuristics and (it + 1) % 5 == 0:
-            _reinit_degenerate(W_aug, C, rng)
         objs.append(objective_value(W_aug, C, data, config))
         decrease = objs[-2] - objs[-1]
         if decrease < config.outer_tol * max(1.0, abs(objs[-2])):
@@ -402,6 +405,7 @@ def fit_ml(data: ResponseMatrix, K: int, config: MLConfig, n_threads: int = 1):
         raise ValueError("cannot fit: no observed responses")
     Dimensions(data.Q, data.N, K)
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    data.observed  # build the shared view before restarts start on threads
 
     if n_threads > 1 and config.restarts > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:

@@ -11,6 +11,7 @@ difficulty matrix mu * 1^T is never materialized.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -44,6 +45,30 @@ class Dimensions:
                 "concepts than questions or learners",
                 stacklevel=2,
             )
+
+
+@dataclass(frozen=True)
+class ObservedEntries:
+    """The observed cells of a Q x N response matrix, in row-major order.
+
+    index : flat indices of the observed cells, or slice(None) when every
+        cell is observed (a slice reads a view instead of copying through
+        an index array).
+    sign : read-only array of s = 2y - 1 at those cells.
+    """
+
+    index: np.ndarray | slice
+    sign: np.ndarray
+
+    def gather(self, Z):
+        """Values of the C-contiguous Q x N array Z at the observed cells."""
+        return Z.reshape(-1)[self.index]
+
+    def scatter(self, out, values):
+        """Write values into the observed cells of the C-contiguous Q x N
+        array out; the other cells keep what they hold."""
+        out.reshape(-1)[self.index] = values
+        return out
 
 
 @dataclass(frozen=True)
@@ -95,6 +120,17 @@ class ResponseMatrix:
     @property
     def n_observed(self) -> int:
         return int(self.mask.sum())
+
+    @functools.cached_property
+    def observed(self) -> ObservedEntries:
+        """Observed cells and their signs, built on first use and then
+        shared by every fit of this matrix."""
+        index = slice(None) if self.mask.all() else np.flatnonzero(self.mask)
+        sign = 2.0 * self.entries.reshape(-1)[index] - 1.0
+        sign.setflags(write=False)
+        if isinstance(index, np.ndarray):
+            index.setflags(write=False)
+        return ObservedEntries(index, sign)
 
 
 @dataclass(frozen=True)
@@ -152,13 +188,9 @@ def log_likelihood(model: FactorModel, data: ResponseMatrix) -> float:
         raise ValueError(
             f"model is {model.Q} x {model.N} but data is {data.Q} x {data.N}"
         )
-    z = slack(model)
-    ll = np.where(
-        data.entries == 1.0,
-        log_inv_link(z, model.link),
-        log_inv_link(-z, model.link),
-    )
-    return float(ll[data.mask].sum())
+    obs = data.observed
+    z = obs.gather(slack(model))
+    return float(log_inv_link(obs.sign * z, model.link).sum())
 
 
 def predict_prob(model: FactorModel, i: int, j: int) -> float:

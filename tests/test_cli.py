@@ -152,6 +152,32 @@ class TestModelRoundTrip:
         assert p1.read_bytes() == p2.read_bytes()
 
 
+class TestModelJsonIndices:
+    @staticmethod
+    def write_model(path, triplet):
+        truth, _ = generate_synthetic(SynthConfig(Q=3, N=4, K=2, seed=15))
+        write_model_json(path, truth)
+        payload = json.loads(path.read_text())
+        payload["W"] = [triplet]
+        path.write_text(json.dumps(payload))
+
+    @pytest.mark.parametrize("triplet", [[-1, 0, 0.5], [3, 0, 0.5],
+                                         [0, -1, 0.5], [0, 2, 0.5],
+                                         [1.5, 0, 0.5], ["1", 0, 0.5]])
+    def test_out_of_range_triplet_rejected(self, tmp_path, triplet):
+        path = tmp_path / "m.json"
+        self.write_model(path, triplet)
+        with pytest.raises(ValueError, match="out of range"):
+            read_model_json(path)
+
+    @pytest.mark.parametrize("triplet", [[-1, 0, 0.5], [0, 2, 0.5]])
+    def test_graph_reports_data_error(self, tmp_path, triplet):
+        path = tmp_path / "m.json"
+        self.write_model(path, triplet)
+        rc = main(["graph", "--model", str(path), "--out", str(tmp_path / "g.dot")])
+        assert rc == 2
+
+
 class TestGraph:
     def test_zero_weights_graph_has_all_questions_no_edges(self, tmp_path):
         model = FactorModel(np.zeros((4, 2)), np.ones((2, 3)), np.zeros(4))

@@ -3,6 +3,7 @@ against power iteration, subproblem solutions against grid search, and the
 outer-loop monotonicity guarantee."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -38,6 +39,14 @@ from helpers import (
 )
 
 LINKS = [LinkKind.PROBIT, LinkKind.LOGIT]
+
+
+class TestConfig:
+    @pytest.mark.parametrize("field", ["lambda_l1", "gamma_c", "mu_w", "outer_tol"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MLConfig(**{"lambda_l1": 1.0, field: value})
 
 
 class TestGradients:
@@ -279,6 +288,35 @@ class TestObjective:
         )
         assert objective_value(W_aug, C, data, cfg) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("link", LINKS)
+    def test_partial_mask_matches_dense_formula(self, link):
+        rng = np.random.default_rng(27)
+        Q, N, K = 9, 11, 3
+        truth, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=K, p_obs=0.6, seed=7))
+        W_aug = np.hstack([np.abs(rng.normal(size=(Q, K))), rng.normal(size=(Q, 1))])
+        C = rng.normal(size=(K, N))
+        Z = W_aug[:, :K] @ C + W_aug[:, K][:, None]
+        if link is LinkKind.PROBIT:
+            erfc = np.vectorize(math.erfc)
+            log_p = np.log(0.5 * erfc(-Z / math.sqrt(2.0)))
+            log_q = np.log(0.5 * erfc(Z / math.sqrt(2.0)))
+        else:
+            log_p = -np.log1p(np.exp(-Z))
+            log_q = -np.log1p(np.exp(Z))
+        Y, M = data.entries, data.mask.astype(float)
+        ll = float(np.sum(M * (Y * log_p + (1.0 - Y) * log_q)))
+        cfg = MLConfig(lambda_l1=0.4, gamma_c=0.3, mu_w=0.05, link=link)
+        expected = (
+            -ll
+            + cfg.lambda_l1 * np.sum(np.abs(W_aug[:, :K]))
+            + 0.5 * cfg.mu_w * np.sum(W_aug**2)
+            + 0.5 * cfg.gamma_c * np.sum(C**2)
+        )
+        model = FactorModel(W_aug[:, :K], C, W_aug[:, K], link)
+        assert 0 < data.n_observed < Q * N
+        assert log_likelihood(model, data) == pytest.approx(ll, rel=1e-12)
+        assert objective_value(W_aug, C, data, cfg) == pytest.approx(expected, rel=1e-12)
+
     def test_negative_weight_rejected(self):
         data = ResponseMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
@@ -286,18 +324,24 @@ class TestObjective:
                             data, MLConfig(lambda_l1=1.0))
 
 
+def blank_question_and_learner(data):
+    """data with question 0 answered by no learner and learner N-1 answering
+    nothing."""
+    mask = data.mask.copy()
+    mask[0, :] = False
+    mask[:, -1] = False
+    return ResponseMatrix(data.entries, mask)
+
+
 class TestBatchedPhases:
-    def test_phase_w_matches_row_solver(self):
-        rng = np.random.default_rng(23)
-        Q, N, K = 5, 7, 2
-        truth, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=K, p_obs=0.8, seed=2))
+    @staticmethod
+    def check_phase_w(data, rng):
+        Q, N, K = data.Q, data.N, 2
         W_aug = np.hstack([np.abs(rng.normal(size=(Q, K))), rng.normal(size=(Q, 1))])
         C_aug = np.vstack([rng.normal(size=(K, N)), np.ones((1, N))])
-        maskf = data.mask.astype(float)
-        S = 2.0 * data.entries - 1.0
         lam, mu_w, iters = 0.15, 1e-3, 8
-        batched = _phase_w(W_aug.copy(), C_aug, maskf, S, lam, mu_w,
-                           LinkKind.PROBIT, iters)
+        batched = _phase_w(W_aug.copy(), C_aug, data.observed, np.zeros((Q, N)),
+                           lam, mu_w, LinkKind.PROBIT, iters)
         for i in range(Q):
             single = solve_w_row(W_aug[i], C_aug, data.entries[i], data.mask[i],
                                  lam, mu_w, LinkKind.PROBIT, iters)
@@ -308,16 +352,14 @@ class TestBatchedPhases:
             expected = single if f_single <= f_start else W_aug[i]
             np.testing.assert_allclose(batched[i], expected, atol=1e-9)
 
-    def test_phase_c_matches_col_solver(self):
-        rng = np.random.default_rng(24)
-        Q, N, K = 6, 5, 2
-        truth, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=K, p_obs=0.9, seed=3))
+    @staticmethod
+    def check_phase_c(data, rng):
+        Q, N, K = data.Q, data.N, 2
         W_aug = np.hstack([np.abs(rng.normal(size=(Q, K))), rng.normal(size=(Q, 1))])
         C = rng.normal(size=(K, N))
-        maskf = data.mask.astype(float)
-        S = 2.0 * data.entries - 1.0
         gamma, iters = 0.25, 8
-        batched = _phase_c(C.copy(), W_aug, maskf, S, gamma, LinkKind.PROBIT, iters)
+        batched = _phase_c(C.copy(), W_aug, data.observed, np.zeros((Q, N)), gamma,
+                           LinkKind.PROBIT, iters)
         for j in range(N):
             single = solve_c_col(C[:, j], W_aug, data.entries[:, j], data.mask[:, j],
                                  gamma, LinkKind.PROBIT, iters)
@@ -327,6 +369,37 @@ class TestBatchedPhases:
                                     data.mask[:, j], gamma, LinkKind.PROBIT)
             expected = single if f_single <= f_start else C[:, j]
             np.testing.assert_allclose(batched[:, j], expected, atol=1e-9)
+
+    def test_phase_w_matches_row_solver(self):
+        truth, data = generate_synthetic(SynthConfig(Q=5, N=7, K=2, p_obs=0.8, seed=2))
+        self.check_phase_w(data, np.random.default_rng(23))
+
+    def test_phase_c_matches_col_solver(self):
+        truth, data = generate_synthetic(SynthConfig(Q=6, N=5, K=2, p_obs=0.9, seed=3))
+        self.check_phase_c(data, np.random.default_rng(24))
+
+    def test_phase_w_with_blank_question_and_learner(self):
+        truth, data = generate_synthetic(SynthConfig(Q=6, N=8, K=2, p_obs=0.7, seed=4))
+        self.check_phase_w(blank_question_and_learner(data), np.random.default_rng(25))
+
+    def test_phase_c_with_blank_question_and_learner(self):
+        truth, data = generate_synthetic(SynthConfig(Q=7, N=6, K=2, p_obs=0.7, seed=5))
+        self.check_phase_c(blank_question_and_learner(data), np.random.default_rng(26))
+
+    def test_link_kernels_see_only_observed_cells(self, monkeypatch):
+        import gradefactor.mle as mle
+
+        truth, data = generate_synthetic(SynthConfig(Q=30, N=40, K=3, p_obs=0.3, seed=6))
+        sizes = {"hazard": [], "log_inv_link": []}
+        for name in sizes:
+            def recording(x, link, _real=getattr(mle, name), _sizes=sizes[name]):
+                _sizes.append(np.size(x))
+                return _real(x, link)
+            monkeypatch.setattr(mle, name, recording)
+        fit_ml(data, 3, MLConfig(lambda_l1=0.5, max_outer=4, outer_tol=0, restarts=2))
+        assert len(sizes["hazard"]) == 2 * 4 * 2 * 10
+        assert set(sizes["hazard"]) == {data.n_observed}
+        assert set(sizes["log_inv_link"]) == {data.n_observed}
 
 
 class TestFit:
@@ -354,11 +427,20 @@ class TestFit:
         np.testing.assert_array_equal(model1.C, model2.C)
         assert trace1.restart_index == trace2.restart_index
 
-    def test_thread_parallel_restarts_identical(self):
-        truth, data = generate_synthetic(SynthConfig(Q=15, N=15, K=2, seed=6))
+    @pytest.mark.parametrize("p_obs", [1.0, 0.5])
+    def test_thread_parallel_restarts_identical(self, p_obs):
+        truth, data = generate_synthetic(SynthConfig(Q=15, N=15, K=2, p_obs=p_obs,
+                                                     seed=6))
         cfg = MLConfig(lambda_l1=0.2, seed=3, restarts=3, max_outer=15)
         serial, _ = fit_ml(data, 2, cfg, n_threads=1)
-        threaded, _ = fit_ml(data, 2, cfg, n_threads=3)
+        # switch threads often so that restarts sharing any scratch state
+        # would interleave inside a phase
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded, _ = fit_ml(data, 2, cfg, n_threads=3)
+        finally:
+            sys.setswitchinterval(interval)
         np.testing.assert_array_equal(serial.W, threaded.W)
         np.testing.assert_array_equal(serial.C, threaded.C)
 
