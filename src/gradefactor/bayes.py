@@ -53,22 +53,27 @@ class SpikeSlabHyperparams:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "e", "f", "v_mu"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
 
     def resolve(self, K: int, data: ResponseMatrix | None = None):
         v0 = np.eye(K) if self.v0 is None else np.asarray(self.v0, dtype=float)
         if v0.shape != (K, K):
             raise ValueError(f"v0 must be {K} x {K}")
+        if not np.isfinite(v0).all():
+            raise ValueError("v0 must be finite")
         if not np.allclose(v0, v0.T):
             raise ValueError("v0 must be symmetric")
         if np.linalg.eigvalsh(v0)[0] <= 0:
             raise ValueError("v0 must be positive definite")
         h = float(K + 1) if self.h is None else float(self.h)
-        if h <= K - 1:
-            raise ValueError("h must exceed K - 1")
+        if not (math.isfinite(h) and h > K - 1):
+            raise ValueError("h must be finite and exceed K - 1")
         if self.mu0 is not None:
             mu0 = float(self.mu0)
+            if not math.isfinite(mu0):
+                raise ValueError("mu0 must be finite")
         elif data is not None and data.n_observed > 0:
             rate = float(data.entries[data.mask].mean())
             rate = min(max(rate, 1e-6), 1.0 - 1e-6)
@@ -97,15 +102,23 @@ class GibbsState:
     activity: np.ndarray
 
     def validate(self, data: ResponseMatrix | None = None):
-        assert (self.W >= 0).all()
-        assert np.allclose(self.V, self.V.T)
-        assert np.linalg.eigvalsh(self.V)[0] > 0
-        assert ((self.r > 0) & (self.r < 1)).all()
-        assert ((self.activity >= 0) & (self.activity <= 1)).all()
+        """Raise ValueError naming the first invariant the state breaks;
+        with data, also check the slack signs at the observed cells."""
+        if not (self.W >= 0).all():
+            raise ValueError("W must be non-negative")
+        if not np.allclose(self.V, self.V.T):
+            raise ValueError("V must be symmetric")
+        if not np.linalg.eigvalsh(self.V)[0] > 0:
+            raise ValueError("V must be positive definite")
+        if not ((self.r > 0) & (self.r < 1)).all():
+            raise ValueError("r must lie in (0, 1)")
+        if not ((self.activity >= 0) & (self.activity <= 1)).all():
+            raise ValueError("activity must lie in [0, 1]")
         if data is not None:
             obs_z = self.Z[data.mask]
             obs_y = data.entries[data.mask]
-            assert ((obs_z > 0) == (obs_y == 1)).all()
+            if not ((obs_z > 0) == (obs_y == 1)).all():
+                raise ValueError("Z signs must match the observed responses")
 
 
 @dataclass
@@ -129,30 +142,36 @@ class PosteriorSummary:
             raise ValueError("activity probabilities must lie in [0, 1]")
 
 
+def _body_draws(a, rng):
+    # survival-function inversion avoids cancellation for a near 0
+    u = 1.0 - rng.random(a.shape)
+    return -special.ndtri(u * special.ndtr(-a))
+
+
 def _std_truncnorm_lower(a, rng):
     """Standard normal conditioned on X >= a, elementwise over a."""
     a = np.asarray(a, dtype=float)
-    out = np.empty_like(a)
     body = a <= _TAIL_THRESHOLD
-    if body.any():
-        ab = a[body]
-        # survival-function inversion avoids cancellation for a near 0
-        u = 1.0 - rng.random(ab.shape)
-        out[body] = -special.ndtri(u * special.ndtr(-ab))
+    if body.all():  # the usual case: no element needs the tail sampler
+        return _body_draws(a, rng)
     tail = ~body
-    if tail.any():
-        at = a[tail]
-        alpha = 0.5 * (at + np.sqrt(at * at + 4.0))
-        draws = np.empty_like(at)
-        pending = np.ones(at.shape, dtype=bool)
-        while pending.any():
-            ap = at[pending]
-            z = ap + rng.exponential(1.0, ap.shape) / alpha[pending]
-            accept = rng.random(ap.shape) <= np.exp(-0.5 * (z - alpha[pending]) ** 2)
-            idx = np.flatnonzero(pending)[accept]
-            draws.flat[idx] = z[accept]
-            pending.flat[idx] = False
-        out[tail] = draws
+    at = a[tail]
+    if not np.isfinite(at).all():  # no tail proposal would ever be accepted
+        raise ValueError("truncation points must be finite")
+    out = np.empty_like(a)
+    if body.any():
+        out[body] = _body_draws(a[body], rng)
+    alpha = 0.5 * (at + np.sqrt(at * at + 4.0))
+    draws = np.empty_like(at)
+    pending = np.ones(at.shape, dtype=bool)
+    while pending.any():
+        ap = at[pending]
+        z = ap + rng.exponential(1.0, ap.shape) / alpha[pending]
+        accept = rng.random(ap.shape) <= np.exp(-0.5 * (z - alpha[pending]) ** 2)
+        idx = np.flatnonzero(pending)[accept]
+        draws.flat[idx] = z[accept]
+        pending.flat[idx] = False
+    out[tail] = draws
     return out
 
 
@@ -169,18 +188,21 @@ def sample_truncnorm(mean, var, side, rng, size=None):
     if side not in ("positive", "negative"):
         raise ValueError("side must be 'positive' or 'negative'")
     scalar_in = mean.ndim == 0 and var.ndim == 0 and size is None
-    shape = np.broadcast_shapes(mean.shape, var.shape) if size is None else size
-    mean = np.broadcast_to(mean, shape).astype(float)
-    sigma = np.sqrt(np.broadcast_to(var, shape).astype(float))
-    flip = -1.0 if side == "negative" else 1.0
-    m = flip * mean
+    shape = np.broadcast(mean, var).shape if size is None else size
+    # draw on the positive side; a negative draw is a mirrored positive one
+    m = mean if mean.shape == shape else np.broadcast_to(mean, shape)
+    if side == "negative":
+        m = -m
+    sigma = np.sqrt(var)
     a = -m / sigma
     x = m + sigma * _std_truncnorm_lower(a, rng)
     # boundary hits are measure-zero but float-representable; redraw them
     while (x <= 0).any():
         bad = x <= 0
-        x[bad] = m[bad] + sigma[bad] * _std_truncnorm_lower(a[bad], rng)
-    x = flip * x
+        sigma_bad = np.broadcast_to(sigma, shape)[bad]
+        x[bad] = m[bad] + sigma_bad * _std_truncnorm_lower(a[bad], rng)
+    if side == "negative":
+        x = -x
     return float(x) if scalar_in else x
 
 
@@ -276,26 +298,19 @@ def sample_inv_wishart(scale, df, rng):
 
 def step_slack(state: GibbsState, data: ResponseMatrix, rng):
     """Draw the latent slack at observed entries, sign-matched to Y."""
-    mean = state.W @ state.C + state.mu[:, None]
-    obs_mean = mean[data.mask]
-    obs_y = data.entries[data.mask]
-    draws = np.empty_like(obs_mean)
-    pos = obs_y == 1.0
-    if pos.any():
-        draws[pos] = sample_truncnorm(obs_mean[pos], 1.0, "positive", rng)
-    if (~pos).any():
-        draws[~pos] = sample_truncnorm(obs_mean[~pos], 1.0, "negative", rng)
-    Z = state.Z
-    Z[data.mask] = draws
+    obs = data.observed
+    mean = (state.W @ state.C + state.mu[:, None]).reshape(-1)
+    for cells, side in ((obs.positive, "positive"), (obs.negative, "negative")):
+        if cells.size:
+            np.put(state.Z, cells, sample_truncnorm(mean[cells], 1.0, side, rng))
 
 
 def step_difficulty(state: GibbsState, data: ResponseMatrix, hyper_resolved, rng):
     """Conjugate normal update of the per-question difficulty."""
     mu0, v_mu = hyper_resolved.mu0, hyper_resolved.v_mu
-    maskf = data.mask.astype(float)
-    n_prime = maskf.sum(axis=1)
-    v = 1.0 / (1.0 / v_mu + n_prime)
-    resid = ((state.Z - state.W @ state.C) * maskf).sum(axis=1)
+    obs = data.observed
+    v = 1.0 / (1.0 / v_mu + obs.row_counts)
+    resid = ((state.Z - state.W @ state.C) * obs.float_mask).sum(axis=1)
     m = v * (mu0 / v_mu + resid)
     state.mu[:] = m + np.sqrt(v) * rng.standard_normal(m.shape)
 
@@ -310,17 +325,22 @@ def step_knowledge(state: GibbsState, data: ResponseMatrix, rng):
     W, Z, mu, V = state.W, state.Z, state.mu, state.V
     K, N = state.C.shape
     Vinv = np.linalg.inv(V)
-    maskf = data.mask.astype(float)
+    obs = data.observed
+    maskf = obs.float_mask
     B = W.T @ (maskf * (Z - mu[:, None]))  # (K, N)
     xi = rng.standard_normal((K, N))
-    if data.mask.all():
+    if isinstance(obs.index, slice):  # every cell observed
         A = Vinv + W.T @ W
         Lc = np.linalg.cholesky(A)
         means = np.linalg.solve(A, B)
         noise = sla.solve_triangular(Lc.T, xi, lower=False)
         state.C[:] = means + noise
         return
-    gram = np.einsum("ik,ij,il->jkl", W, maskf, W, optimize=True)
+    # gram[j] = sum_i maskf[i, j] w_i w_i^T as one matmul over the stacked
+    # outer products: the contraction einsum("ik,ij,il->jkl", optimize=True)
+    # chooses, without searching for it on every call
+    outer = (W[:, :, None] * W[:, None, :]).reshape(W.shape[0], K * K)
+    gram = (maskf.T @ outer).reshape(N, K, K)
     A = Vinv[None, :, :] + gram
     Lc = np.linalg.cholesky(A)
     means = np.linalg.solve(A, B.T[:, :, None])[:, :, 0]
@@ -351,7 +371,7 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng, order=None,
     """
     W, C, Z, mu = state.W, state.C, state.Z, state.mu
     Q, K = W.shape
-    maskf = data.mask.astype(float)
+    maskf = data.observed.float_mask
     R = Z - mu[:, None] - W @ C
     if order is None:
         order = range(K)
@@ -361,27 +381,28 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng, order=None,
         r_k = float(state.r[k])
         ck = C[k]
         den = maskf @ (ck * ck)
+        num = (maskf * (R + W[:, k, None] * ck)) @ ck
         good = den > 0.0
-        E = R + np.outer(W[:, k], ck)
-        num = (maskf * E) @ ck
-        m_hat = np.divide(num, den, out=np.zeros_like(num), where=good)
-        s_hat = np.divide(1.0, den, out=np.ones_like(den), where=good)
+        all_good = bool(good.all())
+        # rows that see observed signal; a slice when all do (the usual case)
+        # reads views instead of boolean-indexed copies
+        rows = slice(None) if all_good else good
+        m_hat = num[rows] / den[rows]
+        s_hat = 1.0 / den[rows]
         act = np.full(Q, r_k)
-        if good.any():
-            log_ratio = _log_rect_at_zero(m_hat[good], s_hat[good], lam_k)
-            act[good] = special.expit(
-                -(log_ratio - np.log(lam_k)) + np.log(r_k) - np.log1p(-r_k)
-            )
+        log_ratio = _log_rect_at_zero(m_hat, s_hat, lam_k)
+        act[rows] = special.expit(
+            -(log_ratio - np.log(lam_k)) + np.log(r_k) - np.log1p(-r_k)
+        )
         active = gen.random(Q) < act
         new_col = np.zeros(Q)
-        if good.any():
-            slab = sample_rect_normal(m_hat[good], s_hat[good], lam_k, gen)
-            sel = active & good
-            new_col[sel] = slab[active[good]]
-        fallback = active & ~good
-        if fallback.any():
-            new_col[fallback] = gen.exponential(1.0 / lam_k, int(fallback.sum()))
-        R += np.outer(W[:, k] - new_col, ck)
+        slab = sample_rect_normal(m_hat, s_hat, lam_k, gen)
+        new_col[rows] = np.where(active[rows], slab, 0.0)
+        if not all_good:
+            fallback = active & ~good
+            if fallback.any():
+                new_col[fallback] = gen.exponential(1.0 / lam_k, int(fallback.sum()))
+        R += (W[:, k] - new_col)[:, None] * ck
         W[:, k] = new_col
         state.activity[:, k] = act
 
@@ -427,8 +448,15 @@ def _resolve(hyper: SpikeSlabHyperparams, K, data):
 
 def gibbs_sweep(state: GibbsState, data: ResponseMatrix,
                 hyper: SpikeSlabHyperparams, rng):
-    """One full systematic sweep over all seven conditionals."""
-    resolved = _resolve(hyper, state.W.shape[1], data)
+    """One full systematic sweep over all seven conditionals.
+
+    hyper is resolved and validated on every call; run_gibbs does that
+    once per run and then sweeps with the resolved values.
+    """
+    return _sweep(state, data, _resolve(hyper, state.W.shape[1], data), rng)
+
+
+def _sweep(state: GibbsState, data: ResponseMatrix, resolved: _Resolved, rng):
     step_slack(state, data, rng)
     step_difficulty(state, data, resolved, rng)
     step_knowledge(state, data, rng)
@@ -442,7 +470,12 @@ def gibbs_sweep(state: GibbsState, data: ResponseMatrix,
 def init_gibbs_state(data: ResponseMatrix, K: int, hyper: SpikeSlabHyperparams,
                      rng) -> GibbsState:
     """Draw an initial state from the priors."""
-    resolved = _resolve(hyper, K, data)
+    return _initial_state(data, K, _resolve(hyper, K, data), rng)
+
+
+def _initial_state(data: ResponseMatrix, K: int, resolved: _Resolved,
+                   rng) -> GibbsState:
+    hyper = resolved.hyper
     v0, h, mu0, v_mu = resolved.v0, resolved.h, resolved.mu0, resolved.v_mu
     Q, N = data.Q, data.N
     lam = rng.gamma(hyper.alpha, 1.0 / hyper.beta, K)
@@ -473,7 +506,9 @@ def run_gibbs(data: ResponseMatrix, K: int,
 
     The 30k/30k default matches the long-run protocol; desk-scale
     experiments typically use a couple of thousand each.  Statistics are
-    accumulated over the post-burn-in sweeps only.
+    accumulated over the post-burn-in sweeps only.  The hyperparameters
+    are resolved and validated once per run, not once per sweep; the
+    chain equals init_gibbs_state followed by gibbs_sweep calls.
     """
     if burn_in < 1 or n_samples < 1:
         raise ValueError("burn_in and n_samples must be >= 1")
@@ -481,9 +516,10 @@ def run_gibbs(data: ResponseMatrix, K: int,
         hyper = SpikeSlabHyperparams()
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    state = init_gibbs_state(data, K, hyper, rng)
+    resolved = _resolve(hyper, K, data)
+    state = _initial_state(data, K, resolved, rng)
     for _ in range(burn_in):
-        gibbs_sweep(state, data, hyper, rng)
+        _sweep(state, data, resolved, rng)
     w_sum = np.zeros_like(state.W)
     w_sq = np.zeros_like(state.W)
     c_sum = np.zeros_like(state.C)
@@ -492,7 +528,7 @@ def run_gibbs(data: ResponseMatrix, K: int,
     mu_sq = np.zeros_like(state.mu)
     act_sum = np.zeros_like(state.activity)
     for _ in range(n_samples):
-        gibbs_sweep(state, data, hyper, rng)
+        _sweep(state, data, resolved, rng)
         w_sum += state.W
         w_sq += state.W * state.W
         c_sum += state.C

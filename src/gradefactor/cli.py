@@ -70,13 +70,18 @@ def _synth_config_from_options(options):
             raise DataError(f"config is missing required key {key!r}")
         return options[key]
 
-    nnz_raw = options.get("nnz", "uniform 1 3").split()
-    if nnz_raw[0] == "uniform" and len(nnz_raw) == 3:
-        nnz_mode = ("uniform", int(nnz_raw[1]), int(nnz_raw[2]))
-    elif nnz_raw[0] == "bernoulli" and len(nnz_raw) == 2:
-        nnz_mode = ("bernoulli", float(nnz_raw[1]))
-    else:
-        raise DataError(f"bad nnz spec {' '.join(nnz_raw)!r}")
+    nnz_raw = options.get("nnz", "").split()
+    try:
+        if "nnz" not in options:
+            nnz_mode = None  # the generator's default, uniform on {1..min(3, K)}
+        elif nnz_raw[:1] == ["uniform"] and len(nnz_raw) == 3:
+            nnz_mode = ("uniform", int(nnz_raw[1]), int(nnz_raw[2]))
+        elif nnz_raw[:1] == ["bernoulli"] and len(nnz_raw) == 2:
+            nnz_mode = ("bernoulli", float(nnz_raw[1]))
+        else:
+            raise ValueError
+    except ValueError:
+        raise DataError(f"bad nnz spec {options['nnz']!r}") from None
     try:
         return SynthConfig(
             Q=int(need("q")),

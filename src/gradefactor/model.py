@@ -55,10 +55,14 @@ class ObservedEntries:
         cell is observed (a slice reads a view instead of copying through
         an index array).
     sign : read-only array of s = 2y - 1 at those cells.
+    shape : (Q, N) of the response matrix.
+
+    The derived views below are built on first use and then shared.
     """
 
     index: np.ndarray | slice
     sign: np.ndarray
+    shape: tuple[int, int]
 
     def gather(self, Z):
         """Values of the C-contiguous Q x N array Z at the observed cells."""
@@ -69,6 +73,31 @@ class ObservedEntries:
         array out; the other cells keep what they hold."""
         out.reshape(-1)[self.index] = values
         return out
+
+    @functools.cached_property
+    def float_mask(self) -> np.ndarray:
+        """Read-only Q x N array: 1.0 at the observed cells, 0.0 elsewhere."""
+        return _frozen_array(self.scatter(np.zeros(self.shape), 1.0))
+
+    @functools.cached_property
+    def row_counts(self) -> np.ndarray:
+        """Read-only number of observed cells in each row, as floats."""
+        return _frozen_array(self.float_mask.sum(axis=1))
+
+    @functools.cached_property
+    def positive(self) -> np.ndarray:
+        """Read-only flat indices of the observed cells with y = 1."""
+        return _frozen_array(self._flat_index()[self.sign > 0], dtype=np.intp)
+
+    @functools.cached_property
+    def negative(self) -> np.ndarray:
+        """Read-only flat indices of the observed cells with y = 0."""
+        return _frozen_array(self._flat_index()[self.sign < 0], dtype=np.intp)
+
+    def _flat_index(self):
+        if isinstance(self.index, slice):
+            return np.arange(self.sign.size)
+        return self.index
 
 
 @dataclass(frozen=True)
@@ -130,7 +159,7 @@ class ResponseMatrix:
         sign.setflags(write=False)
         if isinstance(index, np.ndarray):
             index.setflags(write=False)
-        return ObservedEntries(index, sign)
+        return ObservedEntries(index, sign, self.entries.shape)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ uniform at the requested rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,10 @@ class SynthConfig:
             raise ValueError("Q, N and K must be positive")
         if not 0.0 < self.p_obs <= 1.0:
             raise ValueError("p_obs must lie in (0, 1]")
-        if self.lambda_k <= 0:
-            raise ValueError("lambda_k must be positive")
-        if self.v_mu <= 0:
-            raise ValueError("v_mu must be positive")
+        for name in ("lambda_k", "v_mu"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         if self.nnz_mode is None:
             self.nnz_mode = ("uniform", 1, min(3, self.K))
         mode = self.nnz_mode[0]

@@ -2,6 +2,9 @@
 conjugate closed forms, distributional tests, and sweep invariants."""
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -56,6 +59,13 @@ class TestTruncnorm:
     def test_bad_variance(self):
         with pytest.raises(ValueError):
             sample_truncnorm(0.0, 0.0, "positive", np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mean,var", [(math.nan, 1.0), (-math.inf, 1.0),
+                                          (0.5, math.nan)])
+    def test_non_finite_parameters_rejected(self, mean, var):
+        # the tail sampler would never accept a draw for these
+        with pytest.raises(ValueError):
+            sample_truncnorm(mean, var, "positive", np.random.default_rng(0))
 
     def test_bad_side(self):
         with pytest.raises(ValueError):
@@ -190,6 +200,76 @@ class TestSweepInvariants:
         corr = np.corrcoef(samples, rowvar=False)
         off_diag = corr[~np.eye(9, dtype=bool)]
         assert np.abs(off_diag).max() < 0.02
+
+
+def broken_states():
+    """(description, mutation) pairs that each break one state invariant."""
+    def negative_w(state, data):
+        state.W[0, 0] = -0.5
+
+    def asymmetric_v(state, data):
+        state.V[0, 1] += 0.25
+
+    def wrong_slack_sign(state, data):
+        i, j = np.argwhere(data.mask)[0]
+        state.Z[i, j] = -1.0 if data.entries[i, j] == 1 else 1.0
+
+    return [("negative W", negative_w), ("asymmetric V", asymmetric_v),
+            ("wrong slack sign", wrong_slack_sign)]
+
+
+class TestStateValidation:
+    def _swept_state(self):
+        truth, data = generate_synthetic(SynthConfig(Q=6, N=5, K=2, p_obs=0.8, seed=29))
+        state, rng = make_state(data, 2, 30)
+        gibbs_sweep(state, data, SpikeSlabHyperparams(), rng)
+        state.validate(data)
+        return state, data
+
+    @pytest.mark.parametrize("case", broken_states(), ids=lambda c: c[0])
+    def test_broken_invariant_raises(self, case):
+        _, breaker = case
+        state, data = self._swept_state()
+        breaker(state, data)
+        with pytest.raises(ValueError):
+            state.validate(data)
+
+    def test_rejected_under_optimize_flag(self):
+        # python -O strips assert statements; the checks must survive it
+        script = textwrap.dedent("""
+            import numpy as np
+            from gradefactor.bayes import SpikeSlabHyperparams, init_gibbs_state
+            from gradefactor.synth import SynthConfig, generate_synthetic
+            truth, data = generate_synthetic(SynthConfig(Q=6, N=5, K=2, seed=29))
+            state = init_gibbs_state(data, 2, SpikeSlabHyperparams(),
+                                     np.random.default_rng(30))
+            state.W[0, 0] = -0.5
+            try:
+                state.validate(data)
+            except ValueError as exc:
+                print("rejected:", exc)
+            else:
+                print("accepted")
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("rejected:")
+
+
+class TestHyperparams:
+    @pytest.mark.parametrize("field", ["alpha", "beta", "e", "f", "v_mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
+    def test_non_positive_or_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SpikeSlabHyperparams(**{field: value})
+
+    @pytest.mark.parametrize("field", ["h", "mu0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_resolve_rejects_non_finite(self, field, value):
+        hyper = SpikeSlabHyperparams(**{field: value})
+        with pytest.raises(ValueError, match=field):
+            hyper.resolve(2)
 
 
 class TestConjugateSteps:
@@ -335,6 +415,67 @@ class TestRunGibbs:
         truth, data = generate_synthetic(SynthConfig(Q=4, N=4, K=1, seed=26))
         with pytest.raises(ValueError):
             run_gibbs(data, 1, burn_in=0, n_samples=10, rng=0)
+
+
+# Posterior summaries of a 20 + 20 sweep chain: (sum, flat entries 0 and 7,
+# last entry) of each field.  A change to the arithmetic or the RNG order of
+# any step moves them.
+PINNED_CHAINS = {
+    0.7: {
+        "w_mean": (23.257701710951324, 0.08685448193493447, 0.1585998681176619,
+                   0.16275910939604227),
+        "c_mean": (6.012044032461558, -0.1552817301075457, 0.11176535224364752,
+                   -0.10428451184641707),
+        "mu_mean": (-1.1758224562230137, -0.44963781561726057, 0.2687966639825762,
+                    0.8283258736469614),
+        "activity": (9.021685451049626, 0.2674294487615436, 0.257793746714429,
+                     0.2248332383420973),
+    },
+    1.0: {
+        "w_mean": (40.36811238999932, 1.7409467684894007, 0.002758356437758619, 0.0),
+        "c_mean": (12.24000605609972, -0.16976967026282797, -0.5671125031868691,
+                   0.13142688956927867),
+        "mu_mean": (-1.4974541174033846, -0.4153091496246567, 0.33766620153936333,
+                    1.573173746448246),
+        "activity": (16.82853848897643, 0.9951021717034191, 0.16486072237019894,
+                     0.02717522691855993),
+    },
+}
+
+
+def pinned_instance(p_obs):
+    truth, data = generate_synthetic(SynthConfig(Q=12, N=15, K=3, p_obs=p_obs, seed=31))
+    return data
+
+
+class TestChainPinned:
+    @pytest.mark.parametrize("p_obs", sorted(PINNED_CHAINS))
+    def test_posterior_summary_pinned(self, p_obs):
+        summary = run_gibbs(pinned_instance(p_obs), 3, burn_in=20, n_samples=20, rng=32)
+        for name, pinned in PINNED_CHAINS[p_obs].items():
+            values = getattr(summary, name)
+            got = (values.sum(), values.flat[0], values.flat[7], values.flat[-1])
+            assert got == pytest.approx(pinned, rel=1e-12), name
+
+    @pytest.mark.parametrize("p_obs", sorted(PINNED_CHAINS))
+    def test_run_gibbs_equals_public_sweeps(self, p_obs):
+        data = pinned_instance(p_obs)
+        summary = run_gibbs(data, 3, burn_in=20, n_samples=20, rng=32)
+        hyper = SpikeSlabHyperparams()
+        rng = np.random.default_rng(32)
+        state = init_gibbs_state(data, 3, hyper, rng)
+        for _ in range(20):
+            gibbs_sweep(state, data, hyper, rng)
+        sums = {"W": 0.0, "C": 0.0, "mu": 0.0, "activity": 0.0}
+        for _ in range(20):
+            gibbs_sweep(state, data, hyper, rng)
+            for name in sums:
+                sums[name] = sums[name] + getattr(state, name)
+        np.testing.assert_array_equal(summary.w_mean, sums["W"] / 20.0)
+        np.testing.assert_array_equal(summary.c_mean, sums["C"] / 20.0)
+        np.testing.assert_array_equal(summary.mu_mean, sums["mu"] / 20.0)
+        np.testing.assert_array_equal(summary.activity,
+                                      np.clip(sums["activity"] / 20.0, 0.0, 1.0))
 
 
 class TestPointEstimates:

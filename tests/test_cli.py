@@ -65,6 +65,33 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg), "--out-dir",
                      str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_lambda_k_data_error(self, tmp_path, capsys, value):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"q = 10\nn = 10\nk = 2\nlambda_k = {value}\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "lambda_k" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spec", ["uniform a 2", "bernoulli x", "", "gauss 1"])
+    def test_bad_nnz_data_error(self, tmp_path, capsys, spec):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"q = 10\nn = 10\nk = 2\nnnz = {spec}\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "x")]) == 2
+        assert "bad nnz spec" in capsys.readouterr().err
+
+    def test_default_support_fits_small_k(self, tmp_path):
+        # no nnz line: the generator's own default, uniform on {1..min(3, K)}
+        cfg = tmp_path / "k2.cfg"
+        cfg.write_text("q = 10\nn = 10\nk = 2\nseed = 3\n")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        truth, _ = read_model_json(out / "synth_truth.json")
+        assert truth.K == 2
+        assert ((truth.W > 0).sum(axis=1) >= 1).all()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.cfg"),
                      "--out-dir", str(tmp_path / "x")]) == 2

@@ -58,6 +58,12 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SynthConfig(Q=2, N=2, K=1, p_obs=0.0)
 
+    @pytest.mark.parametrize("field", ["lambda_k", "v_mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthConfig(Q=2, N=2, K=1, **{field: value})
+
 
 class TestMatchPermutation:
     def test_identity(self):
