@@ -9,7 +9,7 @@ from .bayes import (
 from .evaluate import EvalReport, cross_validate, eval_metrics, predict_heldout
 from .ksvd import KsvdConfig, fit_ksvd
 from .links import LinkKind
-from .mle import FitTrace, MLConfig, bic_select_lambda, fit_ml
+from .mle import FitTrace, LambdaSelection, MLConfig, bic_select_lambda, fit_ml
 from .model import FactorModel, ResponseMatrix, log_likelihood, predict_prob, slack
 from .synth import SynthConfig, generate_synthetic
 from .tags import TagMatrix, fit_tag_map, learner_tag_knowledge, solve_bpdn_plus
@@ -21,6 +21,7 @@ __all__ = [
     "FactorModel",
     "FitTrace",
     "KsvdConfig",
+    "LambdaSelection",
     "LinkKind",
     "MLConfig",
     "PosteriorSummary",

@@ -10,10 +10,11 @@ outputs.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,24 @@ def _parse_link(text):
         return LinkKind(text)
     except ValueError:
         raise DataError(f"unknown link {text!r}; use 'probit' or 'logit'")
+
+
+def _lambda_grid(text):
+    """--lambda-grid value: comma-separated positive numbers."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError("the lambda grid is empty")
+    grid = []
+    for item in text.split(","):
+        try:
+            value = float(item)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(
+                f"bad lambda grid entry {item.strip()!r}: expected a positive number"
+            )
+        grid.append(value)
+    return grid
 
 
 def read_config_file(path):
@@ -144,20 +163,24 @@ def _fit_ml(args, data):
         seed=args.seed,
         link=_parse_link(args.link),
     )
-    if args.lam is None and args.lambda_grid:
-        grid = [float(v) for v in args.lambda_grid.split(",")]
-        lam = bic_select_lambda(data, args.k, grid, config)
-        config = dataclasses.replace(config, lambda_l1=lam)
-    model, trace = fit_ml(data, args.k, config, n_threads=args.threads)
-    extras = {
-        "method": "ml",
-        "lambda_l1": config.lambda_l1,
-        "trace": {
-            "objectives": [float(v) for v in trace.objectives],
-            "final_objective": trace.final_objective,
-            "n_outer": trace.n_outer,
-            "restart_index": trace.restart_index,
-        },
+    extras = {"method": "ml", "lambda_l1": config.lambda_l1}
+    if args.lambda_grid is not None:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            selection = bic_select_lambda(data, args.k, args.lambda_grid, config,
+                                          n_threads=args.threads)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
+        model, trace = selection.model, selection.trace
+        extras["lambda_l1"] = selection.lambda_l1
+        extras["lambda_selection"] = selection.table
+    else:
+        model, trace = fit_ml(data, args.k, config, n_threads=args.threads)
+    extras["trace"] = {
+        "objectives": [float(v) for v in trace.objectives],
+        "final_objective": trace.final_objective,
+        "n_outer": trace.n_outer,
+        "restart_index": trace.restart_index,
     }
     return model, extras
 
@@ -376,9 +399,10 @@ def build_parser():
     p_fit.add_argument("--k", type=int, required=True)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--link", default="probit")
-    p_fit.add_argument("--lambda", dest="lam", type=float, default=None)
-    p_fit.add_argument("--lambda-grid", default=None,
-                       help="comma-separated candidates scored by BIC")
+    lam_choice = p_fit.add_mutually_exclusive_group()
+    lam_choice.add_argument("--lambda", dest="lam", type=float, default=None)
+    lam_choice.add_argument("--lambda-grid", type=_lambda_grid, default=None,
+                            help="comma-separated candidates scored by BIC")
     p_fit.add_argument("--gamma", type=float, default=0.1)
     p_fit.add_argument("--mu-w", type=float, default=1e-4)
     p_fit.add_argument("--inner-iters", type=int, default=10)

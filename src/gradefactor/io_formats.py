@@ -54,6 +54,7 @@ def read_response_csv(path):
     if not rows or len(rows[0]) < 2:
         raise ValueError(f"{path}: expected a header with at least one learner")
     learner_ids = rows[0][1:]
+    _reject_duplicate(path, "learner", learner_ids)
     question_ids = []
     entries, mask = [], []
     for lineno, row in enumerate(rows[1:], start=2):
@@ -75,8 +76,17 @@ def read_response_csv(path):
                 raise ValueError(f"{path}:{lineno}: bad response value {cell!r}")
         entries.append(ent_row)
         mask.append(mask_row)
+    _reject_duplicate(path, "question", question_ids)
     data = ResponseMatrix(np.asarray(entries), np.asarray(mask, dtype=bool))
     return data, question_ids, learner_ids
+
+
+def _reject_duplicate(path, kind, ids):
+    seen = set()
+    for ident in ids:
+        if ident in seen:
+            raise ValueError(f"{path}: duplicate {kind} id {ident!r}")
+        seen.add(ident)
 
 
 def write_mask_json(path, data: ResponseMatrix):

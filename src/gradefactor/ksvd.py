@@ -10,6 +10,7 @@ the observed entries.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,9 @@ class KsvdConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_concepts", "max_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n_concepts < 1:
             raise ValueError("n_concepts must be >= 1")
         if self.max_iters < 1:

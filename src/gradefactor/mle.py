@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,12 +307,18 @@ def _phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters):
     accept-if-improved comparison against the incoming rows keeps the
     outer objective non-increasing even with few inner iterations.
     """
-    d = W_aug.shape[1]
+    Q, d = W_aug.shape
     maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
-    gram = np.einsum("kj,ij,lj->ikl", C_aug, maskf, C_aug, optimize=True)
+    # per-row Gram sum_j mask[i, j] c_j c_j^T: one matmul of the stacked
+    # outer products with the mask, the contraction einsum("kj,ij,lj->ikl",
+    # optimize=True) runs, without its per-call path search; einsum's
+    # operand order keeps the result bitwise equal
+    outer = (C_aug[:, None, :] * C_aug[None, :, :]).reshape(d * d, -1)
+    gram = (outer @ maskf.T).T.reshape(Q, d, d)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     L = np.maximum(scalar_lipschitz(link) * sig2 + mu_w, _L_FLOOR)
     t = (1.0 / L)[:, None]
+    lam_t = lam * t
 
     f_old = _row_objectives(W_aug, C_aug, obs, buf, lam, mu_w, link)
     x_prev = W_aug
@@ -320,9 +327,8 @@ def _phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters):
     for _ in range(iters):
         resid = _residual_cells(u @ C_aug, obs, buf, link)
         grad = -resid @ C_aug.T + mu_w * u
-        x_hat = u - t * grad
-        x = x_hat.copy()
-        x[:, : d - 1] = np.maximum(x_hat[:, : d - 1] - lam * t, 0.0)
+        x = u - t * grad
+        x[:, : d - 1] = np.maximum(x[:, : d - 1] - lam_t, 0.0)
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
         x_prev, tau = x, tau_next
@@ -337,11 +343,15 @@ def _phase_c(C, W_aug, obs, buf, gamma, link, iters):
     """One alternation over all learner columns at once."""
     W = W_aug[:, :-1]
     mu = W_aug[:, -1][:, None]
+    (Q, K), N = W.shape, C.shape[1]
     maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
-    gram = np.einsum("ik,ij,il->jkl", W, maskf, W, optimize=True)
+    # per-column Gram as in _phase_w: einsum("ik,ij,il->jkl") as one matmul
+    outer = (W.T[:, None, :] * W.T[None, :, :]).reshape(K * K, Q)
+    gram = (outer @ maskf).T.reshape(N, K, K)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     L = np.maximum(scalar_lipschitz(link) * sig2, _L_FLOOR)
     t = 1.0 / L  # (N,)
+    shrink = 1.0 + gamma * t
 
     f_old = _col_objectives(C, W_aug, obs, buf, gamma, link)
     x_prev = C
@@ -350,8 +360,7 @@ def _phase_c(C, W_aug, obs, buf, gamma, link, iters):
     for _ in range(iters):
         resid = _residual_cells(W @ u + mu, obs, buf, link)
         grad = -W.T @ resid
-        x_hat = u - t * grad
-        x = x_hat / (1.0 + gamma * t)
+        x = (u - t * grad) / shrink
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
         x_prev, tau = x, tau_next
@@ -439,24 +448,54 @@ def pick_min_bic(candidates):
     return best_lam
 
 
-def bic_select_lambda(data: ResponseMatrix, K: int, lambda_grid, config: MLConfig):
+@dataclass(frozen=True)
+class LambdaSelection:
+    """Outcome of choosing the sparsity weight by BIC.
+
+    lambda_l1 : the chosen weight; model and trace are its fit, as fit_ml
+        returns them for that weight.
+    table : one row per distinct candidate in increasing order of lambda,
+        each a dict with keys lambda, log_likelihood, df, bic and n_outer.
+    """
+
+    lambda_l1: float
+    model: FactorModel
+    trace: FitTrace
+    table: tuple
+
+
+def bic_select_lambda(data: ResponseMatrix, K: int, lambda_grid, config: MLConfig,
+                      n_threads: int = 1) -> LambdaSelection:
     """Pick the sparsity weight minimizing an information criterion.
 
-    Each candidate gets a full fit (same seed).  The criterion is
-    -2 log-likelihood + df * log(n_observed) with df counting the active
-    concept weights, all of C, and the Q difficulties; the df convention
-    is documented rather than canonical.
+    Each distinct candidate gets one full fit (same seed, restarts on
+    n_threads threads), and the winner's fit is returned with the choice.
+    The criterion is -2 log-likelihood + df * log(n_observed) with df
+    counting the active concept weights, all of C, and the Q difficulties;
+    the df convention is documented rather than canonical.  Warns when
+    the choice is the smallest or largest of several candidates, where
+    the grid may not bracket the optimum.
     """
-    lambda_grid = list(lambda_grid)
+    lambda_grid = sorted(set(float(lam) for lam in lambda_grid))
     if not lambda_grid:
         raise ValueError("lambda grid is empty")
     n_obs = data.n_observed
-    candidates = []
-    for lam in sorted(lambda_grid):
+    fits, table = {}, []
+    for lam in lambda_grid:
         cfg = dataclasses.replace(config, lambda_l1=lam)
-        model, _ = fit_ml(data, K, cfg)
+        model, trace = fit_ml(data, K, cfg, n_threads=n_threads)
         ll = log_likelihood(model, data)
         df = int(np.count_nonzero(model.W)) + K * data.N + data.Q
-        bic = -2.0 * ll + df * np.log(n_obs)
-        candidates.append((lam, bic))
-    return pick_min_bic(candidates)
+        bic = float(-2.0 * ll + df * np.log(n_obs))
+        fits[lam] = (model, trace)
+        table.append({"lambda": lam, "log_likelihood": ll, "df": df, "bic": bic,
+                      "n_outer": trace.n_outer})
+    chosen = pick_min_bic([(row["lambda"], row["bic"]) for row in table])
+    if len(lambda_grid) > 1 and chosen in (lambda_grid[0], lambda_grid[-1]):
+        edge = "smallest" if chosen == lambda_grid[0] else "largest"
+        warnings.warn(
+            f"BIC chose lambda={chosen!r}, the {edge} value of the grid; "
+            "the grid may not bracket the best weight",
+            stacklevel=2,
+        )
+    return LambdaSelection(chosen, *fits[chosen], tuple(table))

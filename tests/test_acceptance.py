@@ -182,7 +182,7 @@ def test_criterion_05_scaled_recovery():
     started = time.monotonic()
     cfg = MLConfig(lambda_l1=1.0, gamma_c=0.1, restarts=3, seed=0)
     truth0, data0 = generate_synthetic(SynthConfig(Q=100, N=100, K=5, seed=1000))
-    lam = bic_select_lambda(data0, 5, [2.0, 4.0, 8.0, 12.0], cfg)
+    lam = bic_select_lambda(data0, 5, [2.0, 4.0, 8.0, 12.0], cfg).lambda_l1
 
     null_rng = np.random.default_rng(4242)
     e_w, e_c, e_mu, null_w, null_c = [], [], [], [], []

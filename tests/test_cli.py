@@ -167,6 +167,86 @@ class TestFit:
         _, payload = read_model_json(out)
         assert payload["lambda_l1"] in (0.1, 0.4)
 
+    def test_lambda_grid_reuses_winner_fit(self, sim_dir, tmp_path, capsys):
+        common = ["fit", "--method", "ml", "--data",
+                  str(sim_dir / "synth_responses.csv"), "--k", "2",
+                  "--max-outer", "20", "--restarts", "2", "--seed", "4"]
+        grid_out = tmp_path / "grid.json"
+        assert main(common + ["--lambda-grid", "0.4,0.1", "--threads", "2",
+                              "--out", str(grid_out)]) == 0
+        assert "warning: BIC chose lambda=" in capsys.readouterr().err
+        payload = json.loads(grid_out.read_text())
+        table = payload.pop("lambda_selection")
+        assert [row["lambda"] for row in table] == [0.1, 0.4]
+        assert payload["lambda_l1"] == min(table, key=lambda row: row["bic"])["lambda"]
+        single_out = tmp_path / "single.json"
+        assert main(common + ["--lambda", repr(payload["lambda_l1"]),
+                              "--out", str(single_out)]) == 0
+        rewritten = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        assert rewritten.encode() == single_out.read_bytes()
+
+    def test_duplicate_grid_values_fitted_once(self, sim_dir, tmp_path, monkeypatch):
+        import gradefactor.cli as cli
+        import gradefactor.mle as mle
+
+        fitted = []
+
+        def counting(data, K, config, n_threads=1, _real=mle.fit_ml):
+            fitted.append(config.lambda_l1)
+            return _real(data, K, config, n_threads)
+
+        monkeypatch.setattr(mle, "fit_ml", counting)
+        monkeypatch.setattr(cli, "fit_ml", counting)
+        rc = main(["fit", "--method", "ml", "--data",
+                   str(sim_dir / "synth_responses.csv"),
+                   "--out", str(tmp_path / "m.json"), "--k", "2",
+                   "--lambda-grid", "0.1,0.4,0.4", "--max-outer", "10"])
+        assert rc == 0
+        assert sorted(fitted) == [0.1, 0.4]
+
+    @pytest.mark.parametrize("grid,message", [
+        ("", "lambda grid is empty"),
+        (" ", "lambda grid is empty"),
+        ("2,,4", "bad lambda grid entry ''"),
+        ("2,x", "bad lambda grid entry 'x'"),
+        ("a,b", "bad lambda grid entry 'a'"),
+        ("1,0", "bad lambda grid entry '0'"),
+        ("1,nan", "bad lambda grid entry 'nan'"),
+    ])
+    def test_bad_lambda_grid_usage_error(self, sim_dir, tmp_path, capsys, grid,
+                                         message):
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--method", "ml", "--data",
+                   str(sim_dir / "synth_responses.csv"), "--out", str(out),
+                   "--k", "2", "--lambda-grid", grid])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lambda_with_grid_usage_error(self, sim_dir, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--method", "ml", "--data",
+                   str(sim_dir / "synth_responses.csv"), "--out", str(out),
+                   "--k", "2", "--lambda", "4", "--lambda-grid", "2,8"])
+        assert rc == 1
+        assert "not allowed with argument --lambda" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,kind,ident", [
+        ("question_id,l1,l2,l1\nq1,1,0,1\n", "learner", "l1"),
+        ("question_id,l1,l2\nq1,1,0\nq2,0,1\nq1,0,0\n", "question", "q1"),
+    ])
+    def test_duplicate_ids_data_error(self, tmp_path, capsys, text, kind, ident):
+        bad = tmp_path / "dup.csv"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match=f"duplicate {kind} id '{ident}'"):
+            read_response_csv(bad)
+        rc = main(["fit", "--method", "ml", "--data", str(bad),
+                   "--out", str(tmp_path / "x.json"), "--k", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"duplicate {kind} id '{ident}'" in err
+
 
 class TestModelRoundTrip:
     def test_write_read_write_is_identity(self, tmp_path):

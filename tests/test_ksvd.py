@@ -169,3 +169,14 @@ class TestFitKsvd:
     def test_bad_sparsity_rejected(self):
         with pytest.raises(ValueError):
             KsvdConfig(n_concepts=2, row_sparsity=3).sparsity_vector(4)
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_concepts", float("nan")),
+        ("n_concepts", 2.5),
+        ("max_iters", 2.5),
+        ("max_iters", float("inf")),
+    ])
+    def test_non_integer_config_rejected(self, field, value):
+        kwargs = {"n_concepts": 2, "row_sparsity": 1, "max_iters": 3, field: value}
+        with pytest.raises(ValueError, match=field):
+            KsvdConfig(**kwargs)

@@ -4,6 +4,7 @@ outer-loop monotonicity guarantee."""
 
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -472,7 +473,7 @@ class TestBicSelection:
     def test_singleton_grid(self):
         truth, data = generate_synthetic(SynthConfig(Q=12, N=12, K=2, seed=8))
         cfg = MLConfig(lambda_l1=1.0, max_outer=15)
-        assert bic_select_lambda(data, 2, [0.37], cfg) == 0.37
+        assert bic_select_lambda(data, 2, [0.37], cfg).lambda_l1 == 0.37
 
     def test_empty_grid_rejected(self):
         truth, data = generate_synthetic(SynthConfig(Q=6, N=6, K=1, seed=9))
@@ -488,7 +489,7 @@ class TestBicSelection:
             SynthConfig(Q=20, N=40, K=2, nnz_mode=("uniform", 2, 2), seed=10)
         )
         cfg = MLConfig(lambda_l1=1.0, max_outer=40, seed=0)
-        chosen = bic_select_lambda(data, 2, [1e-3, 1e3], cfg)
+        chosen = bic_select_lambda(data, 2, [1e-3, 1e3], cfg).lambda_l1
         assert chosen == 1e-3
 
     def test_all_correct_question_detaches(self):
@@ -503,9 +504,65 @@ class TestBicSelection:
             Y[0, :] = 1.0
             data_mod = ResponseMatrix(Y, data.mask)
             cfg = MLConfig(lambda_l1=1.0, max_outer=40, seed=seed)
-            lam = bic_select_lambda(data_mod, 2, [0.05, 0.1, 0.2, 0.4, 0.8], cfg)
+            lam = bic_select_lambda(data_mod, 2, [0.05, 0.1, 0.2, 0.4, 0.8],
+                                    cfg).lambda_l1
             model, _ = fit_ml(data_mod, 2, MLConfig(lambda_l1=lam, max_outer=40,
                                                     seed=seed))
             if np.count_nonzero(model.W[0]) == 0:
                 detached += 1
         assert detached >= 9
+
+    @pytest.mark.parametrize("n_threads", [1, 2])
+    def test_winner_is_the_direct_fit(self, n_threads):
+        truth, data = generate_synthetic(SynthConfig(Q=14, N=16, K=2, p_obs=0.8,
+                                                     seed=12))
+        cfg = MLConfig(lambda_l1=1.0, max_outer=15, restarts=2, seed=3)
+        selection = bic_select_lambda(data, 2, [0.1, 0.3, 0.9], cfg,
+                                      n_threads=n_threads)
+        model, trace = fit_ml(data, 2, MLConfig(lambda_l1=selection.lambda_l1,
+                                                max_outer=15, restarts=2, seed=3))
+        for name in ("W", "C", "mu"):
+            assert np.array_equal(getattr(selection.model, name), getattr(model, name))
+        assert np.array_equal(selection.trace.objectives, trace.objectives)
+        assert selection.trace.final_objective == trace.final_objective
+        assert selection.trace.n_outer == trace.n_outer
+        assert selection.trace.restart_index == trace.restart_index
+
+    def test_table_has_one_row_per_distinct_lambda(self, monkeypatch):
+        import gradefactor.mle as mle
+
+        truth, data = generate_synthetic(SynthConfig(Q=12, N=12, K=2, seed=13))
+        fitted = []
+
+        def counting(data, K, config, n_threads=1, _real=mle.fit_ml):
+            fitted.append(config.lambda_l1)
+            return _real(data, K, config, n_threads)
+
+        monkeypatch.setattr(mle, "fit_ml", counting)
+        cfg = MLConfig(lambda_l1=1.0, max_outer=10)
+        selection = bic_select_lambda(data, 2, [0.4, 0.1, 0.4, 0.2], cfg)
+        assert fitted == [0.1, 0.2, 0.4]
+        assert [row["lambda"] for row in selection.table] == [0.1, 0.2, 0.4]
+        n_obs = data.n_observed
+        for row in selection.table:
+            assert set(row) == {"lambda", "log_likelihood", "df", "bic", "n_outer"}
+            assert row["bic"] == pytest.approx(
+                -2.0 * row["log_likelihood"] + row["df"] * math.log(n_obs), rel=1e-12)
+        best = min(selection.table, key=lambda row: row["bic"])
+        assert selection.lambda_l1 == best["lambda"]
+        assert selection.trace.n_outer == best["n_outer"]
+
+    def test_edge_choice_warns(self):
+        truth, data = generate_synthetic(
+            SynthConfig(Q=20, N=40, K=2, nnz_mode=("uniform", 2, 2), seed=10)
+        )
+        cfg = MLConfig(lambda_l1=1.0, max_outer=40, seed=0)
+        with pytest.warns(UserWarning, match="smallest value of the grid"):
+            bic_select_lambda(data, 2, [1e-3, 1e3], cfg)
+
+    def test_singleton_grid_does_not_warn(self):
+        truth, data = generate_synthetic(SynthConfig(Q=12, N=12, K=2, seed=8))
+        cfg = MLConfig(lambda_l1=1.0, max_outer=15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bic_select_lambda(data, 2, [0.37, 0.37], cfg)
