@@ -6,7 +6,7 @@ from .bayes import (
     posterior_point_estimates,
     run_gibbs,
 )
-from .evaluate import EvalReport, cross_validate, eval_metrics, predict_heldout
+from .evaluate import EvalReport, eval_metrics, predict_heldout
 from .ksvd import KsvdConfig, fit_ksvd
 from .links import LinkKind
 from .mle import FitTrace, LambdaSelection, MLConfig, bic_select_lambda, fit_ml
@@ -30,7 +30,6 @@ __all__ = [
     "SynthConfig",
     "TagMatrix",
     "bic_select_lambda",
-    "cross_validate",
     "eval_metrics",
     "fit_ksvd",
     "fit_ml",

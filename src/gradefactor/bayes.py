@@ -244,32 +244,6 @@ def _log_rect_at_zero(m_hat, s_hat, lam):
     )
 
 
-def w_posterior_stats(z_row, C, mu_i, k, w_row, lam_k, r_k, mask_row):
-    """Conditional spike-slab statistics for one weight entry.
-
-    Returns (p_zero, m_hat, s_hat): the probability that the entry is
-    exactly zero given everything else, and the location/scale of the
-    rectified-normal slab.  Raises when the concept carries no signal for
-    this question (no observed response with a nonzero knowledge value).
-    """
-    mask_row = np.asarray(mask_row, dtype=bool)
-    C = np.asarray(C, dtype=float)
-    ck = C[k]
-    denom = float((ck[mask_row] ** 2).sum())
-    if denom <= 0.0:
-        raise ValueError(
-            "degenerate concept column: no observed responses weight this entry"
-        )
-    w_row = np.asarray(w_row, dtype=float)
-    partial = w_row @ C - w_row[k] * ck
-    resid = np.asarray(z_row, dtype=float) - mu_i - partial
-    m_hat = float((resid[mask_row] * ck[mask_row]).sum()) / denom
-    s_hat = 1.0 / denom
-    log_ratio = _log_rect_at_zero(m_hat, s_hat, lam_k) - np.log(lam_k)
-    p_zero = float(special.expit(log_ratio + np.log1p(-r_k) - np.log(r_k)))
-    return p_zero, m_hat, s_hat
-
-
 def sample_inv_wishart(scale, df, rng):
     """Inverse-Wishart draw via the Bartlett factorization.
 

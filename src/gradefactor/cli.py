@@ -47,22 +47,37 @@ def _parse_link(text):
         raise DataError(f"unknown link {text!r}; use 'probit' or 'logit'")
 
 
+def _positive_number(text, what="value"):
+    """--lambda value and each --lambda-grid entry: a finite number > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"bad {what} {text.strip()!r}: expected a positive number"
+        )
+    return value
+
+
 def _lambda_grid(text):
     """--lambda-grid value: comma-separated positive numbers."""
     if not text.strip():
         raise argparse.ArgumentTypeError("the lambda grid is empty")
-    grid = []
-    for item in text.split(","):
-        try:
-            value = float(item)
-        except ValueError:
-            value = math.nan
-        if not (math.isfinite(value) and value > 0):
-            raise argparse.ArgumentTypeError(
-                f"bad lambda grid entry {item.strip()!r}: expected a positive number"
-            )
-        grid.append(value)
-    return grid
+    return [_positive_number(item, "lambda grid entry") for item in text.split(",")]
+
+
+def _positive_int(text):
+    """Iteration, restart and thread counts: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text.strip()!r}: expected a positive integer"
+        )
+    return value
 
 
 def read_config_file(path):
@@ -400,16 +415,17 @@ def build_parser():
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--link", default="probit")
     lam_choice = p_fit.add_mutually_exclusive_group()
-    lam_choice.add_argument("--lambda", dest="lam", type=float, default=None)
+    lam_choice.add_argument("--lambda", dest="lam", type=_positive_number,
+                            default=None)
     lam_choice.add_argument("--lambda-grid", type=_lambda_grid, default=None,
                             help="comma-separated candidates scored by BIC")
     p_fit.add_argument("--gamma", type=float, default=0.1)
     p_fit.add_argument("--mu-w", type=float, default=1e-4)
-    p_fit.add_argument("--inner-iters", type=int, default=10)
-    p_fit.add_argument("--max-outer", type=int, default=500)
+    p_fit.add_argument("--inner-iters", type=_positive_int, default=10)
+    p_fit.add_argument("--max-outer", type=_positive_int, default=500)
     p_fit.add_argument("--outer-tol", type=float, default=1e-6)
-    p_fit.add_argument("--restarts", type=int, default=1)
-    p_fit.add_argument("--threads", type=int, default=1)
+    p_fit.add_argument("--restarts", type=_positive_int, default=1)
+    p_fit.add_argument("--threads", type=_positive_int, default=1)
     p_fit.add_argument("--burnin", type=int, default=1000)
     p_fit.add_argument("--samples", type=int, default=1000)
     p_fit.add_argument("--threshold", type=float, default=0.35,

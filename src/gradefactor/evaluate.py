@@ -10,7 +10,6 @@ over W columns and C rows jointly).  Difficulties are compared raw.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ import numpy as np
 from scipy import optimize as sopt
 
 from .links import inv_link
-from .mle import MLConfig, fit_ml
 from .model import FactorModel, ResponseMatrix
 
 _EXHAUSTIVE_LIMIT = 10
@@ -124,64 +122,6 @@ def predict_heldout(model: FactorModel, heldout: ResponseMatrix):
     accuracy = float((predictions == y).mean())
     likelihood = float(np.where(y == 1.0, probs, 1.0 - probs).mean())
     return accuracy, likelihood
-
-
-def _fold_partition(mask, folds, rng):
-    coords = np.argwhere(mask)
-    if len(coords) < folds:
-        raise ValueError("not enough observed entries to build the folds")
-    order = rng.permutation(len(coords))
-    return [coords[order[f::folds]] for f in range(folds)]
-
-
-def cross_validate(data: ResponseMatrix, K_grid, lambda_grid, folds: int,
-                   seed: int = 0, base_config: MLConfig | None = None):
-    """Entry-level cross-validation over (K, lambda).
-
-    The observed entries are split into `folds` disjoint groups; each
-    candidate trains on the remainder and is scored by mean held-out
-    prediction likelihood.  Ties prefer the smaller K, then the larger
-    lambda.  Returns (best_K, best_lambda, scores) where scores maps
-    (K, lambda) to the per-fold likelihoods.
-    """
-    if folds < 2:
-        raise ValueError("need at least two folds")
-    K_grid = sorted(set(int(k) for k in K_grid))
-    lambda_grid = sorted(set(float(l) for l in lambda_grid))
-    if not K_grid or not lambda_grid:
-        raise ValueError("candidate grids must be nonempty")
-    rng = np.random.default_rng(seed)
-    parts = _fold_partition(data.mask, folds, rng)
-    for part in parts:
-        if len(part) == 0:
-            raise ValueError("a fold has an empty validation set")
-
-    scores = {}
-    for K in K_grid:
-        for lam in lambda_grid:
-            fold_scores = []
-            for part in parts:
-                val_mask = np.zeros_like(data.mask)
-                val_mask[part[:, 0], part[:, 1]] = True
-                train_mask = data.mask & ~val_mask
-                train = ResponseMatrix(np.where(train_mask, data.entries, 0.0),
-                                       train_mask)
-                if base_config is None:
-                    cfg = MLConfig(lambda_l1=lam, seed=seed)
-                else:
-                    cfg = dataclasses.replace(base_config, lambda_l1=lam, seed=seed)
-                model, _ = fit_ml(train, K, cfg)
-                val = ResponseMatrix(np.where(val_mask, data.entries, 0.0), val_mask)
-                _, likelihood = predict_heldout(model, val)
-                fold_scores.append(likelihood)
-            scores[(K, lam)] = fold_scores
-
-    def sort_key(item):
-        (K, lam), vals = item
-        return (-float(np.mean(vals)), K, -lam)
-
-    (best_K, best_lam), _ = min(scores.items(), key=sort_key)
-    return best_K, best_lam, scores
 
 
 def write_benchmark_csv(path, rows):

@@ -76,32 +76,6 @@ def log_inv_link(x, link: LinkKind):
     raise TypeError(f"unknown link {link!r}")
 
 
-def _log_inv_raw(x, link: LinkKind):
-    # non-validating path: NaN propagates instead of raising
-    if link is LinkKind.PROBIT:
-        return special.log_ndtr(x)
-    if link is LinkKind.LOGIT:
-        return special.log_expit(x)
-    raise TypeError(f"unknown link {link!r}")
-
-
-def log_lik_entry(y, z, link: LinkKind):
-    """Log-likelihood of a single binary response with slack z.
-
-    Returns log[Phi(z)^y (1 - Phi(z))^(1-y)].  Finite for every finite z:
-    the y=0 branch uses log Phi(-z), never log(1 - Phi(z)).  NaN slack
-    propagates to the result.
-    """
-    y_arr = np.asarray(y)
-    if not np.isin(y_arr, (0, 1)).all():
-        raise ValueError("responses must be 0 or 1")
-    z = np.asarray(z, dtype=float)
-    out = np.where(y_arr == 1, _log_inv_raw(z, link), _log_inv_raw(-z, link))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def probit_hazard(x):
     """Ratio N(x)/Phi(x) of the standard normal PDF to its CDF.
 

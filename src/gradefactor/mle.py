@@ -18,6 +18,7 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ class MLConfig:
     restarts : number of random initializations; the run with the lowest
         final objective wins.
 
-    lambda_l1, gamma_c, mu_w and outer_tol must be finite.
+    lambda_l1, gamma_c, mu_w and outer_tol must be finite; inner_iters,
+    max_outer, restarts and seed must be integers.
     """
 
     lambda_l1: float
@@ -62,6 +64,9 @@ class MLConfig:
         for name in ("lambda_l1", "gamma_c", "mu_w", "outer_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        for name in ("inner_iters", "max_outer", "restarts", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.lambda_l1 <= 0:
             raise ValueError("lambda_l1 must be positive")
         if self.gamma_c <= 0:
@@ -86,161 +91,6 @@ class FitTrace:
     final_objective: float
     n_outer: int
     restart_index: int
-
-
-def nonneg_soft_threshold(x, thresh):
-    """Proximal step of thresh * ||x||_1 restricted to x >= 0."""
-    return np.maximum(np.asarray(x, dtype=float) - thresh, 0.0)
-
-
-def ridge_rescale(x, gamma_t):
-    """Proximal step of (gamma_t / 2) * ||x||^2: plain shrinkage."""
-    return np.asarray(x, dtype=float) / (1.0 + gamma_t)
-
-
-def _sigma_sq_max(mat):
-    mat = np.asarray(mat, dtype=float)
-    if mat.size == 0:
-        return 0.0
-    if mat.shape[0] <= mat.shape[1]:
-        gram = mat @ mat.T
-    else:
-        gram = mat.T @ mat
-    return float(max(np.linalg.eigvalsh(gram)[-1], 0.0))
-
-
-def lipschitz_row(C_sub, mu_w, link: LinkKind) -> float:
-    """Gradient Lipschitz constant for one question-row subproblem."""
-    C_sub = np.asarray(C_sub, dtype=float)
-    if C_sub.size == 0:
-        raise ValueError("design matrix is empty")
-    return scalar_lipschitz(link) * _sigma_sq_max(C_sub) + mu_w
-
-
-def lipschitz_col(W_sub, link: LinkKind) -> float:
-    """Gradient Lipschitz constant for one learner-column subproblem."""
-    W_sub = np.asarray(W_sub, dtype=float)
-    if W_sub.size == 0:
-        raise ValueError("design matrix is empty")
-    return scalar_lipschitz(link) * _sigma_sq_max(W_sub)
-
-
-def grad_w_row(w_aug, C_aug, y_row, mask_row, mu_w, link: LinkKind):
-    """Gradient of the smooth part (log-likelihood + ridge) in one w row.
-
-    C_aug carries the all-ones difficulty row; mask_row restricts the sum
-    to observed learners.
-    """
-    w_aug = np.asarray(w_aug, dtype=float)
-    mask_row = np.asarray(mask_row, dtype=bool)
-    if not mask_row.any():
-        return mu_w * w_aug
-    C_sub = np.asarray(C_aug, dtype=float)[:, mask_row]
-    s = 2.0 * np.asarray(y_row, dtype=float)[mask_row] - 1.0
-    z = C_sub.T @ w_aug
-    return -C_sub @ (s * hazard(s * z, link)) + mu_w * w_aug
-
-
-def grad_c_col(c, W_aug, y_col, mask_col, link: LinkKind):
-    """Gradient of the log-likelihood in one learner column (ridge handled
-    by the proximal step, so it is not included here)."""
-    c = np.asarray(c, dtype=float)
-    mask_col = np.asarray(mask_col, dtype=bool)
-    W_aug = np.asarray(W_aug, dtype=float)
-    if not mask_col.any():
-        return np.zeros_like(c)
-    W_sub = W_aug[mask_col, :-1]
-    mu_sub = W_aug[mask_col, -1]
-    s = 2.0 * np.asarray(y_col, dtype=float)[mask_col] - 1.0
-    z = W_sub @ c + mu_sub
-    return -W_sub.T @ (s * hazard(s * z, link))
-
-
-def objective_row(w_aug, C_aug, y_row, mask_row, lam, mu_w, link: LinkKind,
-                  free_last=True):
-    """Full subproblem objective F1 for one question row; +inf outside the
-    non-negativity constraint."""
-    w_aug = np.asarray(w_aug, dtype=float)
-    con = w_aug[:-1] if free_last else w_aug
-    if (con < 0).any():
-        return float("inf")
-    mask_row = np.asarray(mask_row, dtype=bool)
-    nll = 0.0
-    if mask_row.any():
-        C_sub = np.asarray(C_aug, dtype=float)[:, mask_row]
-        s = 2.0 * np.asarray(y_row, dtype=float)[mask_row] - 1.0
-        nll = -float(log_inv_link(s * (C_sub.T @ w_aug), link).sum())
-    return nll + lam * float(np.abs(con).sum()) + 0.5 * mu_w * float(w_aug @ w_aug)
-
-
-def objective_col(c, W_aug, y_col, mask_col, gamma, link: LinkKind):
-    """Full subproblem objective F2 for one learner column."""
-    c = np.asarray(c, dtype=float)
-    mask_col = np.asarray(mask_col, dtype=bool)
-    nll = 0.0
-    if mask_col.any():
-        W_aug = np.asarray(W_aug, dtype=float)
-        W_sub = W_aug[mask_col, :-1]
-        mu_sub = W_aug[mask_col, -1]
-        s = 2.0 * np.asarray(y_col, dtype=float)[mask_col] - 1.0
-        nll = -float(log_inv_link(s * (W_sub @ c + mu_sub), link).sum())
-    return nll + 0.5 * gamma * float(c @ c)
-
-
-def solve_w_row(w0, C_aug, y_row, mask_row, lam, mu_w, link: LinkKind,
-                iters, free_last=True):
-    """Accelerated proximal gradient on one question row.
-
-    Constant step 1/L1.  Concept coordinates are shrunk with the
-    non-negative soft threshold; when free_last is set the trailing
-    difficulty coordinate is left unshrunk and unclamped.
-    """
-    w0 = np.asarray(w0, dtype=float).copy()
-    if iters == 0:
-        return w0
-    mask_row = np.asarray(mask_row, dtype=bool)
-    if mask_row.any():
-        L = lipschitz_row(np.asarray(C_aug, dtype=float)[:, mask_row], mu_w, link)
-    else:
-        L = mu_w
-    t = 1.0 / max(L, _L_FLOOR)
-    ncon = w0.shape[0] - 1 if free_last else w0.shape[0]
-    x_prev = w0
-    u = w0.copy()
-    tau = 1.0
-    for _ in range(iters):
-        x_hat = u - t * grad_w_row(u, C_aug, y_row, mask_row, mu_w, link)
-        x = x_hat.copy()
-        x[:ncon] = nonneg_soft_threshold(x_hat[:ncon], lam * t)
-        tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
-        u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
-        x_prev, tau = x, tau_next
-    return x_prev
-
-
-def solve_c_col(c0, W_aug, y_col, mask_col, gamma, link: LinkKind, iters):
-    """Accelerated proximal gradient on one learner column; the ridge term
-    enters through the rescaling prox, so no sign constraint applies."""
-    c0 = np.asarray(c0, dtype=float).copy()
-    if iters == 0:
-        return c0
-    mask_col = np.asarray(mask_col, dtype=bool)
-    W_aug = np.asarray(W_aug, dtype=float)
-    if mask_col.any():
-        L = lipschitz_col(W_aug[mask_col, :-1], link)
-    else:
-        L = 0.0
-    t = 1.0 / max(L, _L_FLOOR)
-    x_prev = c0
-    u = c0.copy()
-    tau = 1.0
-    for _ in range(iters):
-        x_hat = u - t * grad_c_col(u, W_aug, y_col, mask_col, link)
-        x = ridge_rescale(x_hat, gamma * t)
-        tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
-        u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
-        x_prev, tau = x, tau_next
-    return x_prev
 
 
 def objective_value(W_aug, C, data: ResponseMatrix, config: MLConfig) -> float:
@@ -300,24 +150,61 @@ def _col_objectives(C, W_aug, obs, buf, gamma, link):
     return nll + 0.5 * gamma * (C * C).sum(axis=0)
 
 
+def _row_lipschitz(C_aug, obs, buf, mu_w, link):
+    """Gradient Lipschitz constant of every question-row subproblem: the
+    hazard constant times the largest eigenvalue of the row's masked Gram
+    sum_j mask[i, j] c_j c_j^T, plus mu_w, floored at _L_FLOOR."""
+    d = C_aug.shape[0]
+    maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
+    # per-row Gram as one matmul of the stacked outer products with the
+    # mask, the contraction einsum("kj,ij,lj->ikl", optimize=True) runs,
+    # without its per-call path search; einsum's operand order keeps the
+    # result bitwise equal
+    outer = (C_aug[:, None, :] * C_aug[None, :, :]).reshape(d * d, -1)
+    gram = (outer @ maskf.T).T.reshape(-1, d, d)
+    sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
+    return np.maximum(scalar_lipschitz(link) * sig2 + mu_w, _L_FLOOR)
+
+
+def _row_gradient(W_aug, C_aug, obs, buf, mu_w, link):
+    """Gradient of the smooth part (log-likelihood + ridge) in every row."""
+    resid = _residual_cells(W_aug @ C_aug, obs, buf, link)
+    return -resid @ C_aug.T + mu_w * W_aug
+
+
+def _col_lipschitz(W, obs, buf, link):
+    """Gradient Lipschitz constant of every learner-column subproblem, from
+    the column's masked Gram sum_i mask[i, j] w_i w_i^T (W without the
+    difficulty column), floored at _L_FLOOR."""
+    Q, K = W.shape
+    maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
+    # per-column Gram as in _row_lipschitz: einsum("ik,ij,il->jkl") as one
+    # matmul
+    outer = (W.T[:, None, :] * W.T[None, :, :]).reshape(K * K, Q)
+    gram = (outer @ maskf).T.reshape(-1, K, K)
+    sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
+    return np.maximum(scalar_lipschitz(link) * sig2, _L_FLOOR)
+
+
+def _col_gradient(C, W_aug, obs, buf, link):
+    """Gradient of the log-likelihood in every learner column; the ridge
+    enters through the proximal step instead."""
+    W = W_aug[:, :-1]
+    resid = _residual_cells(W @ C + W_aug[:, -1][:, None], obs, buf, link)
+    return -W.T @ resid
+
+
 def _phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters):
     """One alternation over all question rows at once.
 
-    Rows carry individual step sizes from their masked designs.  A final
+    Rows carry individual step sizes from their masked designs.  Concept
+    coordinates take the non-negative soft threshold; the trailing
+    difficulty coordinate is neither shrunk nor clamped.  A final
     accept-if-improved comparison against the incoming rows keeps the
     outer objective non-increasing even with few inner iterations.
     """
-    Q, d = W_aug.shape
-    maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
-    # per-row Gram sum_j mask[i, j] c_j c_j^T: one matmul of the stacked
-    # outer products with the mask, the contraction einsum("kj,ij,lj->ikl",
-    # optimize=True) runs, without its per-call path search; einsum's
-    # operand order keeps the result bitwise equal
-    outer = (C_aug[:, None, :] * C_aug[None, :, :]).reshape(d * d, -1)
-    gram = (outer @ maskf.T).T.reshape(Q, d, d)
-    sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
-    L = np.maximum(scalar_lipschitz(link) * sig2 + mu_w, _L_FLOOR)
-    t = (1.0 / L)[:, None]
+    d = W_aug.shape[1]
+    t = (1.0 / _row_lipschitz(C_aug, obs, buf, mu_w, link))[:, None]
     lam_t = lam * t
 
     f_old = _row_objectives(W_aug, C_aug, obs, buf, lam, mu_w, link)
@@ -325,9 +212,7 @@ def _phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters):
     u = W_aug.copy()
     tau = 1.0
     for _ in range(iters):
-        resid = _residual_cells(u @ C_aug, obs, buf, link)
-        grad = -resid @ C_aug.T + mu_w * u
-        x = u - t * grad
+        x = u - t * _row_gradient(u, C_aug, obs, buf, mu_w, link)
         x[:, : d - 1] = np.maximum(x[:, : d - 1] - lam_t, 0.0)
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
@@ -340,17 +225,9 @@ def _phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters):
 
 
 def _phase_c(C, W_aug, obs, buf, gamma, link, iters):
-    """One alternation over all learner columns at once."""
-    W = W_aug[:, :-1]
-    mu = W_aug[:, -1][:, None]
-    (Q, K), N = W.shape, C.shape[1]
-    maskf = obs.scatter(buf, 1.0)  # buf as the float observation mask
-    # per-column Gram as in _phase_w: einsum("ik,ij,il->jkl") as one matmul
-    outer = (W.T[:, None, :] * W.T[None, :, :]).reshape(K * K, Q)
-    gram = (outer @ maskf).T.reshape(N, K, K)
-    sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
-    L = np.maximum(scalar_lipschitz(link) * sig2, _L_FLOOR)
-    t = 1.0 / L  # (N,)
+    """One alternation over all learner columns at once; the ridge term
+    enters through the rescaling prox, so no sign constraint applies."""
+    t = 1.0 / _col_lipschitz(W_aug[:, :-1], obs, buf, link)  # (N,)
     shrink = 1.0 + gamma * t
 
     f_old = _col_objectives(C, W_aug, obs, buf, gamma, link)
@@ -358,9 +235,7 @@ def _phase_c(C, W_aug, obs, buf, gamma, link, iters):
     u = C.copy()
     tau = 1.0
     for _ in range(iters):
-        resid = _residual_cells(W @ u + mu, obs, buf, link)
-        grad = -W.T @ resid
-        x = (u - t * grad) / shrink
+        x = (u - t * _col_gradient(u, W_aug, obs, buf, link)) / shrink
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
         x_prev, tau = x, tau_next

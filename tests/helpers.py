@@ -1,14 +1,20 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and adapters that run
+the batched ML kernels on a single question row or learner column.
 
-Everything here is built from the math module / scipy.integrate only, so
-oracle values never flow through the code paths they are checking.
+The oracles are built from the math module / scipy.integrate only, so
+oracle values never flow through the code paths they are checking.  The
+adapters wrap one row (or column) of responses in a one-question (or
+one-learner) ResponseMatrix and call the same private kernels that
+fit_ml runs, so solver tests check the estimator's own code.
 """
 
 import math
 
 import numpy as np
 
+from gradefactor import mle
 from gradefactor.links import LinkKind
+from gradefactor.model import ResponseMatrix
 
 
 def phi_scalar(z, link):
@@ -53,6 +59,19 @@ def smooth_col_oracle(c, W_aug, y, mask, link):
     return total
 
 
+def row_objective_oracle(w, C_aug, y, mask, lam, mu_w, link):
+    """Scalar-loop row objective: the smooth part plus the l1 penalty on
+    the concept coordinates (all but the trailing difficulty)."""
+    return smooth_row_oracle(w, C_aug, y, mask, mu_w, link) + lam * sum(
+        abs(float(v)) for v in w[:-1])
+
+
+def col_objective_oracle(c, W_aug, y, mask, gamma, link):
+    """Scalar-loop column objective: the NLL plus the ridge penalty."""
+    return smooth_col_oracle(c, W_aug, y, mask, link) + 0.5 * gamma * float(
+        np.dot(c, c))
+
+
 def central_diff(f, x, h=1e-5):
     grad = np.zeros_like(x)
     for idx in range(x.size):
@@ -83,3 +102,60 @@ def binary_rank2_instance(rng, Q=24, N=16):
     W = np.zeros((Q, 2))
     W[np.arange(Q), assign] = 1.0
     return W, patterns, W @ patterns
+
+
+def one_row(y, mask):
+    """One-question ResponseMatrix: responses y observed where mask is set."""
+    return ResponseMatrix(np.asarray(y, dtype=float)[None, :],
+                          np.asarray(mask, dtype=bool)[None, :])
+
+
+def one_col(y, mask):
+    """One-learner ResponseMatrix: responses y observed where mask is set."""
+    return ResponseMatrix(np.asarray(y, dtype=float)[:, None],
+                          np.asarray(mask, dtype=bool)[:, None])
+
+
+def _kernel_args(data):
+    return data.observed, np.zeros((data.Q, data.N))
+
+
+def row_lipschitz(C_aug, mask, mu_w, link):
+    """Step-size constant L of one question row with design C_aug."""
+    obs, buf = _kernel_args(one_row(np.zeros(len(mask)), mask))
+    return float(mle._row_lipschitz(np.asarray(C_aug, dtype=float), obs, buf,
+                                    mu_w, link)[0])
+
+
+def col_lipschitz(W, mask, link):
+    """Step-size constant L of one learner column with concept weights W."""
+    obs, buf = _kernel_args(one_col(np.zeros(len(mask)), mask))
+    return float(mle._col_lipschitz(np.asarray(W, dtype=float), obs, buf, link)[0])
+
+
+def row_gradient(w, C_aug, y, mask, mu_w, link):
+    """Gradient of the smooth part (NLL + ridge) of one question row."""
+    obs, buf = _kernel_args(one_row(y, mask))
+    return mle._row_gradient(np.asarray(w, dtype=float)[None, :], C_aug, obs, buf,
+                             mu_w, link)[0]
+
+
+def col_gradient(c, W_aug, y, mask, link):
+    """Gradient of the NLL of one learner column."""
+    obs, buf = _kernel_args(one_col(y, mask))
+    return mle._col_gradient(np.asarray(c, dtype=float)[:, None], W_aug, obs, buf,
+                             link)[:, 0]
+
+
+def solve_row(w0, C_aug, y, mask, lam, mu_w, link, iters):
+    """The row phase run on one question row from w0 for iters steps."""
+    obs, buf = _kernel_args(one_row(y, mask))
+    W_aug = np.array(w0, dtype=float)[None, :]
+    return mle._phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters)[0]
+
+
+def solve_col(c0, W_aug, y, mask, gamma, link, iters):
+    """The column phase run on one learner column from c0 for iters steps."""
+    obs, buf = _kernel_args(one_col(y, mask))
+    C = np.array(c0, dtype=float)[:, None]
+    return mle._phase_c(C, W_aug, obs, buf, gamma, link, iters)[:, 0]

@@ -27,16 +27,7 @@ from gradefactor.bayes import (
 )
 from gradefactor.evaluate import match_permutation
 from gradefactor.links import LinkKind, logit_hazard, probit_hazard
-from gradefactor.mle import (
-    MLConfig,
-    bic_select_lambda,
-    fit_ml,
-    grad_c_col,
-    grad_w_row,
-    lipschitz_row,
-    objective_row,
-    solve_w_row,
-)
+from gradefactor.mle import MLConfig, bic_select_lambda, fit_ml
 from gradefactor.model import FactorModel, ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
 from gradefactor.tags import solve_bpdn_plus
@@ -44,9 +35,14 @@ from gradefactor.tags import solve_bpdn_plus
 from helpers import (
     binary_rank2_instance,
     central_diff,
+    col_gradient,
     random_row_instance,
+    row_gradient,
+    row_lipschitz,
+    row_objective_oracle,
     smooth_col_oracle,
     smooth_row_oracle,
+    solve_row,
 )
 
 
@@ -67,7 +63,7 @@ def test_criterion_01_gradient_oracle():
         N = int(rng.integers(2, 7))
         w, C_aug, y, mask = random_row_instance(rng, K, N)
         mu_w = 0.05
-        grad = grad_w_row(w, C_aug, y, mask, mu_w, link)
+        grad = row_gradient(w, C_aug, y, mask, mu_w, link)
         fd = central_diff(lambda v: smooth_row_oracle(v, C_aug, y, mask, mu_w, link), w)
         rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)
         worst = max(worst, float(rel.max()))
@@ -79,7 +75,7 @@ def test_criterion_01_gradient_oracle():
         if not mask_col.any():
             mask_col[0] = True
         c = rng.normal(size=K)
-        grad_c = grad_c_col(c, W_aug, y_col, mask_col, link)
+        grad_c = col_gradient(c, W_aug, y_col, mask_col, link)
         fd_c = central_diff(lambda v: smooth_col_oracle(v, W_aug, y_col, mask_col, link), c)
         rel_c = np.abs(grad_c - fd_c) / np.maximum(np.abs(fd_c), 1e-3)
         worst = max(worst, float(rel_c.max()))
@@ -109,13 +105,13 @@ def test_criterion_02_lipschitz_lemma_sweep():
         N = int(rng.integers(2, 8))
         w, C_aug, y, mask = random_row_instance(rng, K, N)
         mu_w = 1e-3
-        L = lipschitz_row(C_aug[:, mask], mu_w, link)
+        L = row_lipschitz(C_aug, mask, mu_w, link)
         for _ in range(10):
             a = rng.normal(size=K + 1)
             step = rng.normal(size=K + 1)
             fa = smooth_row_oracle(a, C_aug, y, mask, mu_w, link)
             fb = smooth_row_oracle(a + step, C_aug, y, mask, mu_w, link)
-            ga = grad_w_row(a, C_aug, y, mask, mu_w, link)
+            ga = row_gradient(a, C_aug, y, mask, mu_w, link)
             bound = fa + ga @ step + 0.5 * L * float(step @ step)
             if fb > bound + 1e-9 * max(1.0, abs(bound)):
                 descent_ok = False
@@ -135,15 +131,15 @@ def test_criterion_03_accelerated_rate():
     rng = np.random.default_rng(11)
     w0, C_aug, y, mask = random_row_instance(rng, 3, 12)
     lam, mu_w, link = 0.2, 1e-3, LinkKind.PROBIT
-    L = lipschitz_row(C_aug[:, mask], mu_w, link)
-    w_star = solve_w_row(w0, C_aug, y, mask, lam, mu_w, link, iters=100_000)
-    f_star = objective_row(w_star, C_aug, y, mask, lam, mu_w, link)
+    L = row_lipschitz(C_aug, mask, mu_w, link)
+    w_star = solve_row(w0, C_aug, y, mask, lam, mu_w, link, iters=100_000)
+    f_star = row_objective_oracle(w_star, C_aug, y, mask, lam, mu_w, link)
     d0 = float(np.sum((w0 - w_star) ** 2))
     ok = True
     worst_margin = np.inf
     for ell in range(1, 201):
-        w_ell = solve_w_row(w0, C_aug, y, mask, lam, mu_w, link, iters=ell)
-        gap = objective_row(w_ell, C_aug, y, mask, lam, mu_w, link) - f_star
+        w_ell = solve_row(w0, C_aug, y, mask, lam, mu_w, link, iters=ell)
+        gap = row_objective_oracle(w_ell, C_aug, y, mask, lam, mu_w, link) - f_star
         bound = 2.0 * L * d0 / (ell + 1) ** 2
         worst_margin = min(worst_margin, bound - gap)
         if gap > bound + 1e-10:

@@ -28,7 +28,6 @@ from gradefactor.bayes import (
     step_rates,
     step_slack,
     step_weights,
-    w_posterior_stats,
 )
 from gradefactor.model import ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
@@ -130,21 +129,42 @@ class TestInvWishart:
             sample_inv_wishart(np.eye(3), 1.5, np.random.default_rng(0))
 
 
-class TestWPosteriorStats:
-    def test_forced_active_when_inclusion_near_one(self):
-        z = np.array([1.0, 2.0])
-        C = np.array([[1.0, 1.0]])
-        p_zero, _, _ = w_posterior_stats(z, C, 0.0, 0, np.array([0.5]), 1.0,
-                                         1.0 - 1e-12, np.ones(2, dtype=bool))
-        assert p_zero < 1e-9
+def one_question_weight_step(z, C, lam, r, rng=None):
+    """Run step_weights on one question with slack row z, knowledge C
+    (K x N, every response observed), difficulty 0, weights starting at 0,
+    slab rate lam and inclusion probability r; returns the state."""
+    C = np.asarray(C, dtype=float)
+    K, N = C.shape
+    state = GibbsState(
+        Z=np.asarray(z, dtype=float).reshape(1, N), W=np.zeros((1, K)), C=C,
+        mu=np.zeros(1), V=np.eye(K), lam=np.full(K, float(lam)),
+        r=np.full(K, float(r)), activity=np.zeros((1, K)),
+    )
+    step_weights(state, ResponseMatrix(np.ones((1, N))),
+                 np.random.default_rng(0) if rng is None else rng)
+    return state
 
-    def test_single_observation_plugin(self):
-        z = np.array([2.0])
-        C = np.array([[1.0]])
-        _, m_hat, s_hat = w_posterior_stats(z, C, 0.0, 0, np.array([0.0]), 1.0,
-                                            0.5, np.ones(1, dtype=bool))
-        assert m_hat == pytest.approx(2.0)
-        assert s_hat == pytest.approx(1.0)
+
+class TestWPosteriorStats:
+    # step_weights keeps P(weight active | rest) = 1 - P(zero) in activity
+    def test_forced_active_when_inclusion_near_one(self):
+        state = one_question_weight_step([1.0, 2.0], [[1.0, 1.0]], 1.0, 1.0 - 1e-12)
+        assert 1.0 - state.activity[0, 0] < 1e-9
+
+    def test_single_observation_plugin(self, monkeypatch):
+        import gradefactor.bayes as bayes
+
+        seen = []
+
+        def recording(m_hat, s_hat, lam, rng, _real=bayes.sample_rect_normal):
+            seen.append((m_hat, s_hat))
+            return _real(m_hat, s_hat, lam, rng)
+
+        monkeypatch.setattr(bayes, "sample_rect_normal", recording)
+        one_question_weight_step([2.0], [[1.0]], 1.0, 0.5)
+        (m_hat, s_hat), = seen
+        assert float(m_hat[0]) == pytest.approx(2.0)
+        assert float(s_hat[0]) == pytest.approx(1.0)
 
     def test_scalar_spike_probability_matches_quadrature(self):
         # scalar model: x | m ~ N(m, 1), m ~ r Exp(lam) + (1-r) delta0
@@ -156,16 +176,22 @@ class TestWPosteriorStats:
                 60.0,
             )
             expected = like0 * (1 - r) / (like0 * (1 - r) + r * marg)
-            p_zero, _, _ = w_posterior_stats(
-                np.array([x]), np.array([[1.0]]), 0.0, 0, np.array([0.0]),
-                lam, r, np.ones(1, dtype=bool)
-            )
-            assert p_zero == pytest.approx(expected, abs=1e-6)
+            state = one_question_weight_step([x], [[1.0]], lam, r)
+            assert 1.0 - state.activity[0, 0] == pytest.approx(expected, abs=1e-6)
 
-    def test_degenerate_column_rejected(self):
-        with pytest.raises(ValueError):
-            w_posterior_stats(np.array([1.0]), np.array([[0.0]]), 0.0, 0,
-                              np.array([0.0]), 1.0, 0.5, np.ones(1, dtype=bool))
+    def test_degenerate_column_falls_back_to_prior(self):
+        # no observed response weights the entry: activity is the prior
+        # inclusion probability and an active weight is an Exp(lam) draw
+        rng = np.random.default_rng(3)
+        draws = []
+        for _ in range(2000):
+            state = one_question_weight_step([1.0], [[0.0]], 2.0, 0.3, rng)
+            assert state.activity[0, 0] == 0.3
+            draws.append(state.W[0, 0])
+        draws = np.asarray(draws)
+        assert (draws >= 0).all()
+        assert abs((draws > 0).mean() - 0.3) < 0.05
+        assert abs(draws[draws > 0].mean() - 0.5) < 0.08
 
 
 def make_state(data, K, seed):

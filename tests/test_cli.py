@@ -232,6 +232,26 @@ class TestFit:
         assert "not allowed with argument --lambda" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option,message", [
+        (["--lambda", "0"], "expected a positive number"),
+        (["--lambda", "nan"], "expected a positive number"),
+        (["--lambda", "-1"], "expected a positive number"),
+        (["--restarts", "0"], "expected a positive integer"),
+        (["--threads", "0"], "expected a positive integer"),
+        (["--threads", "-3", "--restarts", "2"], "expected a positive integer"),
+        (["--inner-iters", "0"], "expected a positive integer"),
+        (["--max-outer", "0"], "expected a positive integer"),
+    ])
+    def test_out_of_range_option_usage_error(self, sim_dir, tmp_path, capsys, option,
+                                             message):
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--method", "ml", "--data",
+                   str(sim_dir / "synth_responses.csv"), "--out", str(out),
+                   "--k", "2", *option])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("text,kind,ident", [
         ("question_id,l1,l2,l1\nq1,1,0,1\n", "learner", "l1"),
         ("question_id,l1,l2\nq1,1,0\nq2,0,1\nq1,0,0\n", "question", "q1"),

@@ -12,10 +12,10 @@ from gradefactor.links import (
     inv_logit,
     inv_probit,
     log_inv_probit,
-    log_lik_entry,
     logit_hazard,
     probit_hazard,
 )
+from gradefactor.model import FactorModel, ResponseMatrix, log_likelihood
 
 
 def normal_pdf(t):
@@ -89,14 +89,21 @@ class TestInvLogit:
             inv_logit(float("nan"))
 
 
+def entry_log_lik(y, z, link):
+    """Log-likelihood of one response y at slack z, through the package's
+    likelihood of a 1 x 1 response matrix."""
+    model = FactorModel(np.zeros((1, 1)), np.zeros((1, 1)), [z], link)
+    return log_likelihood(model, ResponseMatrix([[y]]))
+
+
 class TestLogLikEntry:
     @pytest.mark.parametrize("link", [LinkKind.PROBIT, LinkKind.LOGIT])
     def test_centered_entries(self, link):
-        assert log_lik_entry(1, 0.0, link) == pytest.approx(math.log(0.5), abs=1e-12)
-        assert log_lik_entry(0, 0.0, link) == pytest.approx(math.log(0.5), abs=1e-12)
+        assert entry_log_lik(1, 0.0, link) == pytest.approx(math.log(0.5), abs=1e-12)
+        assert entry_log_lik(0, 0.0, link) == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_deep_tail_probit(self):
-        value = log_lik_entry(1, -30.0, LinkKind.PROBIT)
+        value = entry_log_lik(1, -30.0, LinkKind.PROBIT)
         assert math.isfinite(value)
         two_term = -0.5 * 30.0**2 - math.log(30.0 * math.sqrt(2.0 * math.pi))
         assert value == pytest.approx(two_term, rel=1e-4)
@@ -104,17 +111,18 @@ class TestLogLikEntry:
     @pytest.mark.parametrize("link", [LinkKind.PROBIT, LinkKind.LOGIT])
     def test_partition_sum(self, link):
         z = np.linspace(-8, 8, 801)
-        total = np.exp([log_lik_entry(1, zi, link) for zi in z]) + np.exp(
-            [log_lik_entry(0, zi, link) for zi in z]
+        total = np.exp([entry_log_lik(1, zi, link) for zi in z]) + np.exp(
+            [entry_log_lik(0, zi, link) for zi in z]
         )
         np.testing.assert_allclose(total, 1.0, atol=1e-10)
 
     def test_bad_response_rejected(self):
         with pytest.raises(ValueError):
-            log_lik_entry(2, 0.0, LinkKind.PROBIT)
+            entry_log_lik(2, 0.0, LinkKind.PROBIT)
 
-    def test_nan_propagates(self):
-        assert math.isnan(log_lik_entry(1, float("nan"), LinkKind.LOGIT))
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError):
+            entry_log_lik(1, float("nan"), LinkKind.LOGIT)
 
 
 class TestProbitHazard:

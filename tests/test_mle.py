@@ -14,18 +14,8 @@ from gradefactor.mle import (
     MLConfig,
     bic_select_lambda,
     fit_ml,
-    grad_c_col,
-    grad_w_row,
-    lipschitz_col,
-    lipschitz_row,
-    nonneg_soft_threshold,
-    objective_col,
-    objective_row,
     objective_value,
     pick_min_bic,
-    ridge_rescale,
-    solve_c_col,
-    solve_w_row,
     _phase_c,
     _phase_w,
 )
@@ -34,9 +24,17 @@ from gradefactor.synth import SynthConfig, generate_synthetic
 
 from helpers import (
     central_diff,
+    col_gradient,
+    col_lipschitz,
+    col_objective_oracle,
     random_row_instance as random_instance,
+    row_gradient,
+    row_lipschitz,
+    row_objective_oracle,
     smooth_col_oracle,
     smooth_row_oracle,
+    solve_col,
+    solve_row,
 )
 
 LINKS = [LinkKind.PROBIT, LinkKind.LOGIT]
@@ -46,6 +44,16 @@ class TestConfig:
     @pytest.mark.parametrize("field", ["lambda_l1", "gamma_c", "mu_w", "outer_tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MLConfig(**{"lambda_l1": 1.0, field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("restarts", 1.5),
+        ("inner_iters", math.nan),
+        ("max_outer", math.inf),
+        ("seed", 2.0),
+    ])
+    def test_non_integer_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MLConfig(**{"lambda_l1": 1.0, field: value})
 
@@ -59,7 +67,7 @@ class TestGradients:
             N = int(rng.integers(2, 7))
             w, C_aug, y, mask = random_instance(rng, K, N)
             mu_w = 0.05
-            grad = grad_w_row(w, C_aug, y, mask, mu_w, link)
+            grad = row_gradient(w, C_aug, y, mask, mu_w, link)
             fd = central_diff(
                 lambda v: smooth_row_oracle(v, C_aug, y, mask, mu_w, link), w
             )
@@ -77,7 +85,7 @@ class TestGradients:
             if not mask.any():
                 mask[0] = True
             c = rng.normal(size=K)
-            grad = grad_c_col(c, W_aug, y, mask, link)
+            grad = col_gradient(c, W_aug, y, mask, link)
             fd = central_diff(lambda v: smooth_col_oracle(v, W_aug, y, mask, link), c)
             np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-7)
 
@@ -87,14 +95,14 @@ class TestGradients:
         C_aug = np.vstack([rng.normal(size=(K, N)), np.ones((1, N))])
         y = rng.integers(0, 2, N).astype(float)
         mask = np.ones(N, dtype=bool)
-        grad = grad_w_row(np.zeros(K + 1), C_aug, y, mask, 0.0, LinkKind.LOGIT)
+        grad = row_gradient(np.zeros(K + 1), C_aug, y, mask, 0.0, LinkKind.LOGIT)
         np.testing.assert_allclose(grad, -C_aug @ (y - 0.5), atol=1e-12)
 
     def test_empty_mask_reduces_to_ridge(self):
         w = np.array([0.3, -0.2, 1.0])
         C_aug = np.ones((3, 4))
-        grad = grad_w_row(w, C_aug, np.zeros(4), np.zeros(4, dtype=bool), 0.7,
-                          LinkKind.PROBIT)
+        grad = row_gradient(w, C_aug, np.zeros(4), np.zeros(4, dtype=bool), 0.7,
+                            LinkKind.PROBIT)
         np.testing.assert_array_equal(grad, 0.7 * w)
 
 
@@ -109,21 +117,28 @@ def power_iteration_sigma_sq(M, iters=2000):
 
 class TestLipschitz:
     def test_identity_probit(self):
-        assert lipschitz_row(np.eye(2), 0.0, LinkKind.PROBIT) == pytest.approx(1.0)
+        L = row_lipschitz(np.eye(2), np.ones(2), 0.0, LinkKind.PROBIT)
+        assert L == pytest.approx(1.0)
 
     def test_identity_logit(self):
-        assert lipschitz_row(np.eye(2), 0.0, LinkKind.LOGIT) == pytest.approx(0.25)
+        L = row_lipschitz(np.eye(2), np.ones(2), 0.0, LinkKind.LOGIT)
+        assert L == pytest.approx(0.25)
 
     def test_matches_power_iteration(self):
         rng = np.random.default_rng(13)
         M = rng.normal(size=(6, 4))
         expected = power_iteration_sigma_sq(M)
-        assert lipschitz_row(M, 0.0, LinkKind.PROBIT) == pytest.approx(expected, abs=1e-8)
-        assert lipschitz_col(M, LinkKind.PROBIT) == pytest.approx(expected, abs=1e-8)
+        # M as the design of a row with 4 learners, and as the weights of
+        # a column with 6 questions and 4 concepts
+        L_row = row_lipschitz(M, np.ones(4), 0.0, LinkKind.PROBIT)
+        L_col = col_lipschitz(M, np.ones(6), LinkKind.PROBIT)
+        assert L_row == pytest.approx(expected, abs=1e-8)
+        assert L_col == pytest.approx(expected, abs=1e-8)
 
-    def test_empty_errors(self):
-        with pytest.raises(ValueError):
-            lipschitz_row(np.empty((3, 0)), 0.0, LinkKind.PROBIT)
+    def test_blank_row_step_is_ridge(self):
+        # a question nobody answered keeps only the ridge curvature
+        C_aug = np.ones((3, 4))
+        assert row_lipschitz(C_aug, np.zeros(4), 0.7, LinkKind.PROBIT) == 0.7
 
     @pytest.mark.parametrize("link", LINKS)
     def test_descent_lemma(self, link):
@@ -133,26 +148,48 @@ class TestLipschitz:
             N = int(rng.integers(2, 8))
             w, C_aug, y, mask = random_instance(rng, K, N)
             mu_w = 1e-3
-            L = lipschitz_row(C_aug[:, mask], mu_w, link)
+            L = row_lipschitz(C_aug, mask, mu_w, link)
             for _ in range(10):
                 x = rng.normal(size=K + 1)
                 step = rng.normal(size=K + 1)
                 ynew = x + step
                 fx = smooth_row_oracle(x, C_aug, y, mask, mu_w, link)
                 fy = smooth_row_oracle(ynew, C_aug, y, mask, mu_w, link)
-                gx = grad_w_row(x, C_aug, y, mask, mu_w, link)
+                gx = row_gradient(x, C_aug, y, mask, mu_w, link)
                 bound = fx + gx @ step + 0.5 * L * float(step @ step)
                 assert fy <= bound + 1e-9 * max(1.0, abs(bound))
 
 
 class TestProxSteps:
+    # with step 1/L a single proximal-gradient step never raises the
+    # objective, so the accept-if-improved guard keeps it and one phase
+    # iteration from a start point is exactly one prox step
     def test_nonneg_soft_threshold(self):
-        np.testing.assert_allclose(
-            nonneg_soft_threshold(np.array([0.5, -0.2]), 0.1), [0.4, 0.0]
-        )
+        rng = np.random.default_rng(28)
+        for _ in range(10):
+            w, C_aug, y, mask = random_instance(rng, 3, 8)
+            lam, mu_w = 0.3, 1e-3
+            t = 1.0 / row_lipschitz(C_aug, mask, mu_w, LinkKind.PROBIT)
+            step = w - t * row_gradient(w, C_aug, y, mask, mu_w, LinkKind.PROBIT)
+            out = solve_row(w, C_aug, y, mask, lam, mu_w, LinkKind.PROBIT, 1)
+            np.testing.assert_allclose(out[:-1], np.maximum(step[:-1] - lam * t, 0.0),
+                                       rtol=1e-12, atol=1e-14)
+            assert out[-1] == pytest.approx(step[-1], rel=1e-12, abs=1e-14)
 
     def test_ridge_rescale(self):
-        np.testing.assert_allclose(ridge_rescale(np.array([2.0, -4.0]), 1.0), [1.0, -2.0])
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            Q, K = 8, 2
+            W_aug = np.hstack([np.abs(rng.normal(size=(Q, K))), rng.normal(size=(Q, 1))])
+            y = rng.integers(0, 2, Q).astype(float)
+            mask = rng.random(Q) < 0.8
+            c = rng.normal(size=K)
+            gamma = 1.5
+            t = 1.0 / col_lipschitz(W_aug[:, :-1], mask, LinkKind.PROBIT)
+            step = c - t * col_gradient(c, W_aug, y, mask, LinkKind.PROBIT)
+            out = solve_col(c, W_aug, y, mask, gamma, LinkKind.PROBIT, 1)
+            np.testing.assert_allclose(out, step / (1.0 + gamma * t), rtol=1e-12,
+                                       atol=1e-14)
 
 
 class TestRowSolver:
@@ -162,42 +199,53 @@ class TestRowSolver:
         C_aug = np.vstack([rng.normal(size=(K, N)), np.ones((1, N))])
         y = rng.integers(0, 2, N).astype(float)
         mask = np.ones(N, dtype=bool)
-        g0 = grad_w_row(np.zeros(K + 1), C_aug, y, mask, 0.0, LinkKind.PROBIT)
+        g0 = row_gradient(np.zeros(K + 1), C_aug, y, mask, 0.0, LinkKind.PROBIT)
         lam = 10.0 * float(np.abs(g0).max())
-        w = solve_w_row(np.zeros(K + 1), C_aug, y, mask, lam, 1e-4,
-                        LinkKind.PROBIT, iters=50)
+        w = solve_row(np.zeros(K + 1), C_aug, y, mask, lam, 1e-4,
+                      LinkKind.PROBIT, iters=50)
         np.testing.assert_array_equal(w[:K], 0.0)
         # difficulty coordinate is free to move
         assert abs(w[K]) > 0 or abs(float(g0[K])) < 1e-12
 
     def test_zero_iters_returns_start(self):
         w0 = np.array([0.5, 1.0])
-        out = solve_w_row(w0, np.ones((2, 3)), np.ones(3), np.ones(3, dtype=bool),
-                          0.1, 0.0, LinkKind.PROBIT, iters=0)
+        out = solve_row(w0, np.ones((2, 3)), np.ones(3), np.ones(3, dtype=bool),
+                        0.1, 0.0, LinkKind.PROBIT, iters=0)
         np.testing.assert_array_equal(out, w0)
 
     @pytest.mark.parametrize("link", LINKS)
     def test_k1_matches_grid_search(self, link):
+        # pure 1-D problem: the design's difficulty row is zero, so the
+        # difficulty coordinate stays at its start 0 and only the weight
+        # moves.  The random labels put the optimum on the w=0 boundary;
+        # labels that follow the sign of c, three of them flipped, put it
+        # inside (about 0.67 probit, 1.00 logit), so that input starts at
+        # 2.5, away from both optima
         rng = np.random.default_rng(16)
         N = 12
-        C_aug = rng.normal(size=(1, N))  # no difficulty coordinate: pure 1-D
-        y = rng.integers(0, 2, N).astype(float)
+        c = rng.normal(size=N)
+        y_random = rng.integers(0, 2, N).astype(float)
+        y_sign = (c > 0).astype(float)
+        y_sign[:3] = 1.0 - y_sign[:3]
+        C_aug = np.vstack([c, np.zeros(N)])
         mask = np.ones(N, dtype=bool)
         lam, mu_w = 0.3, 1e-3
-        w = solve_w_row(np.array([1.0]), C_aug, y, mask, lam, mu_w, link,
-                        iters=4000, free_last=False)
         grid = np.arange(0.0, 5.0001, 1e-4)
-        vals = [objective_row(np.array([g]), C_aug, y, mask, lam, mu_w, link,
-                              free_last=False) for g in grid]
-        best = grid[int(np.argmin(vals))]
-        assert abs(float(w[0]) - best) < 1e-3
+        for y, w0 in ((y_random, 1.0), (y_sign, 2.5)):
+            w = solve_row(np.array([w0, 0.0]), C_aug, y, mask, lam, mu_w, link,
+                          iters=4000)
+            assert w[1] == 0.0
+            vals = [row_objective_oracle(np.array([g, 0.0]), C_aug, y, mask, lam,
+                                         mu_w, link) for g in grid]
+            best = grid[int(np.argmin(vals))]
+            assert abs(float(w[0]) - best) < 1e-3
 
     def test_nonnegativity_exact(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             K, N = 3, 8
             w, C_aug, y, mask = random_instance(rng, K, N)
-            out = solve_w_row(w, C_aug, y, mask, 0.05, 1e-4, LinkKind.PROBIT, 25)
+            out = solve_row(w, C_aug, y, mask, 0.05, 1e-4, LinkKind.PROBIT, 25)
             assert (out[:K] >= 0).all()
 
 
@@ -210,9 +258,9 @@ class TestColSolver:
         y = rng.integers(0, 2, Q).astype(float)
         mask = np.ones(Q, dtype=bool)
         gamma = 0.4
-        c = solve_c_col(np.array([2.0]), W_aug, y, mask, gamma, link, iters=4000)
+        c = solve_col(np.array([2.0]), W_aug, y, mask, gamma, link, iters=4000)
         grid = np.arange(-5.0, 5.0001, 1e-4)
-        vals = [objective_col(np.array([g]), W_aug, y, mask, gamma, link)
+        vals = [col_objective_oracle(np.array([g]), W_aug, y, mask, gamma, link)
                 for g in grid]
         best = grid[int(np.argmin(vals))]
         assert abs(float(c[0]) - best) < 1e-3
@@ -223,8 +271,8 @@ class TestColSolver:
         W_aug = np.hstack([np.abs(rng.normal(size=(Q, 2))), rng.normal(size=(Q, 1))])
         y = rng.integers(0, 2, Q).astype(float)
         mask = np.ones(Q, dtype=bool)
-        c = solve_c_col(np.array([3.0, -2.0]), W_aug, y, mask, 1e6,
-                        LinkKind.PROBIT, iters=500)
+        c = solve_col(np.array([3.0, -2.0]), W_aug, y, mask, 1e6,
+                      LinkKind.PROBIT, iters=500)
         assert np.linalg.norm(c) <= 1e-4
 
 
@@ -235,13 +283,13 @@ class TestAcceleratedRate:
         w0, C_aug, y, mask = random_instance(rng, K, N)
         lam, mu_w = 0.2, 1e-3
         link = LinkKind.PROBIT
-        L = lipschitz_row(C_aug[:, mask], mu_w, link)
-        w_star = solve_w_row(w0, C_aug, y, mask, lam, mu_w, link, iters=20000)
-        f_star = objective_row(w_star, C_aug, y, mask, lam, mu_w, link)
+        L = row_lipschitz(C_aug, mask, mu_w, link)
+        w_star = solve_row(w0, C_aug, y, mask, lam, mu_w, link, iters=20000)
+        f_star = row_objective_oracle(w_star, C_aug, y, mask, lam, mu_w, link)
         dist_sq = float(np.sum((w0 - w_star) ** 2))
         for ell in range(1, 51):
-            w_ell = solve_w_row(w0, C_aug, y, mask, lam, mu_w, link, iters=ell)
-            gap = objective_row(w_ell, C_aug, y, mask, lam, mu_w, link) - f_star
+            w_ell = solve_row(w0, C_aug, y, mask, lam, mu_w, link, iters=ell)
+            gap = row_objective_oracle(w_ell, C_aug, y, mask, lam, mu_w, link) - f_star
             assert gap <= 2.0 * L * dist_sq / (ell + 1) ** 2 + 1e-10
 
 
@@ -335,6 +383,8 @@ def blank_question_and_learner(data):
 
 
 class TestBatchedPhases:
+    # every row (column) of a multi-row (multi-column) phase call equals
+    # the same phase run on that row (column) alone
     @staticmethod
     def check_phase_w(data, rng):
         Q, N, K = data.Q, data.N, 2
@@ -344,14 +394,9 @@ class TestBatchedPhases:
         batched = _phase_w(W_aug.copy(), C_aug, data.observed, np.zeros((Q, N)),
                            lam, mu_w, LinkKind.PROBIT, iters)
         for i in range(Q):
-            single = solve_w_row(W_aug[i], C_aug, data.entries[i], data.mask[i],
-                                 lam, mu_w, LinkKind.PROBIT, iters)
-            f_single = objective_row(single, C_aug, data.entries[i], data.mask[i],
-                                     lam, mu_w, LinkKind.PROBIT)
-            f_start = objective_row(W_aug[i], C_aug, data.entries[i], data.mask[i],
-                                    lam, mu_w, LinkKind.PROBIT)
-            expected = single if f_single <= f_start else W_aug[i]
-            np.testing.assert_allclose(batched[i], expected, atol=1e-9)
+            single = solve_row(W_aug[i], C_aug, data.entries[i], data.mask[i],
+                               lam, mu_w, LinkKind.PROBIT, iters)
+            np.testing.assert_allclose(batched[i], single, atol=1e-9)
 
     @staticmethod
     def check_phase_c(data, rng):
@@ -362,14 +407,9 @@ class TestBatchedPhases:
         batched = _phase_c(C.copy(), W_aug, data.observed, np.zeros((Q, N)), gamma,
                            LinkKind.PROBIT, iters)
         for j in range(N):
-            single = solve_c_col(C[:, j], W_aug, data.entries[:, j], data.mask[:, j],
-                                 gamma, LinkKind.PROBIT, iters)
-            f_single = objective_col(single, W_aug, data.entries[:, j],
-                                     data.mask[:, j], gamma, LinkKind.PROBIT)
-            f_start = objective_col(C[:, j], W_aug, data.entries[:, j],
-                                    data.mask[:, j], gamma, LinkKind.PROBIT)
-            expected = single if f_single <= f_start else C[:, j]
-            np.testing.assert_allclose(batched[:, j], expected, atol=1e-9)
+            single = solve_col(C[:, j], W_aug, data.entries[:, j], data.mask[:, j],
+                               gamma, LinkKind.PROBIT, iters)
+            np.testing.assert_allclose(batched[:, j], single, atol=1e-9)
 
     def test_phase_w_matches_row_solver(self):
         truth, data = generate_synthetic(SynthConfig(Q=5, N=7, K=2, p_obs=0.8, seed=2))
@@ -467,6 +507,69 @@ class TestFit:
                                          rng.normal(size=50))
             baseline = eval_metrics(truth, baseline_model).e_w
             assert fitted < baseline
+
+
+# Fits of a 12 x 15, K=3 instance, 2 restarts of 20 outer iterations each:
+# (sum, then the entries 0, 7 and -1) of W's nonzero weights, of C and of
+# mu (the sum of W is over all of W), and the final objective.  A change
+# to the arithmetic of the phases moves them.
+PINNED_FITS = {
+    (0.7, LinkKind.PROBIT): {
+        "W": (28.62026230193803, 1.6198221779921613, 2.7951055433636016,
+              2.472069918045382),
+        "C": (-4.407408251392884, 0.6129077804855435, 0.6190783939688926,
+              -1.129260924504378),
+        "mu": (-1.6741274623673221, -3.2336345023066677, 0.5842828035703997,
+              1.1767780931253724),
+        "final_objective": 9.81718003590359,
+    },
+    (0.7, LinkKind.LOGIT): {
+        "W": (36.767453537866196, 2.0823790272650653, 2.067979194156662,
+              4.016927139864805),
+        "C": (-2.439253181567929, -0.31699518028572243, 1.6651251251293266,
+              -1.591965295275111),
+        "mu": (-6.738715053635534, -6.195748976133033, 0.6268986980277031,
+              2.97487630010154),
+        "final_objective": 13.519007869269725,
+    },
+    (1.0, LinkKind.PROBIT): {
+        "W": (42.32756718775367, 1.9322744922121935, 2.120528600696267,
+              2.9022325728199037),
+        "C": (-10.743848649185175, -0.1926605647454493, -0.2827026561702187,
+              -1.3114940531490658),
+        "mu": (4.187055668693096, -3.1209962335234662, 0.7639643717331763,
+              2.6437100689610458),
+        "final_objective": 17.743159058765706,
+    },
+    (1.0, LinkKind.LOGIT): {
+        "W": (54.080693710824406, 2.5931195476848887, 2.66656625159037,
+              4.120297203250164),
+        "C": (-7.878555559852573, 0.1507031375004514, -0.3118475151743231,
+              -1.821588009596675),
+        "mu": (1.8402723797594658, -5.8424046150482996, 0.21330256704584052,
+              4.315514659048763),
+        "final_objective": 22.971922668655886,
+    },
+}
+
+
+class TestFitPinned:
+    @pytest.mark.parametrize("link", LINKS)
+    @pytest.mark.parametrize("p_obs", [0.7, 1.0])
+    def test_fit_pinned(self, p_obs, link):
+        truth, data = generate_synthetic(SynthConfig(Q=12, N=15, K=3, p_obs=p_obs,
+                                                     seed=41))
+        model, trace = fit_ml(data, 3, MLConfig(lambda_l1=0.2, max_outer=20,
+                                                outer_tol=0.0, restarts=2, seed=42,
+                                                link=link))
+        pinned = PINNED_FITS[(p_obs, link)]
+        for name in ("W", "C", "mu"):
+            values = getattr(model, name)
+            entries = values[values > 0] if name == "W" else values.reshape(-1)
+            got = (values.sum(), entries[0], entries[7], entries[-1])
+            assert got == pytest.approx(pinned[name], rel=1e-12), name
+        assert trace.final_objective == pytest.approx(pinned["final_objective"],
+                                                      rel=1e-12)
 
 
 class TestBicSelection:

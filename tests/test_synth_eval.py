@@ -1,5 +1,5 @@
 """Generator statistics, permutation matching, the error metrics against a
-scalar-loop oracle, held-out prediction, and cross-validation mechanics."""
+scalar-loop oracle, and held-out prediction."""
 
 import math
 
@@ -8,14 +8,12 @@ import pytest
 from scipy import optimize as sopt
 
 from gradefactor.evaluate import (
-    cross_validate,
     eval_metrics,
     match_permutation,
     predict_heldout,
     write_benchmark_csv,
 )
 from gradefactor.links import LinkKind
-from gradefactor.mle import MLConfig
 from gradefactor.model import FactorModel, ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
 
@@ -217,49 +215,6 @@ class TestPredictHeldout:
         empty = ResponseMatrix(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError):
             predict_heldout(model, empty)
-
-
-class TestCrossValidate:
-    def test_single_candidates(self):
-        truth, data = generate_synthetic(SynthConfig(Q=12, N=12, K=2, seed=79))
-        cfg = MLConfig(lambda_l1=1.0, max_outer=10)
-        best_K, best_lam, scores = cross_validate(data, [2], [0.3], folds=3,
-                                                  seed=1, base_config=cfg)
-        assert best_K == 2
-        assert best_lam == 0.3
-        assert len(scores[(2, 0.3)]) == 3
-
-    def test_folds_partition_mask(self):
-        truth, data = generate_synthetic(SynthConfig(Q=10, N=10, K=2, p_obs=0.7,
-                                                     seed=80))
-        from gradefactor.evaluate import _fold_partition
-
-        parts = _fold_partition(data.mask, 4, np.random.default_rng(2))
-        seen = np.zeros_like(data.mask, dtype=int)
-        for part in parts:
-            assert len(part) > 0
-            seen[part[:, 0], part[:, 1]] += 1
-        assert (seen[data.mask] == 1).all()
-        assert (seen[~data.mask] == 0).all()
-
-    def test_too_few_folds_rejected(self):
-        truth, data = generate_synthetic(SynthConfig(Q=6, N=6, K=1, seed=81))
-        with pytest.raises(ValueError):
-            cross_validate(data, [1], [0.1], folds=1)
-
-    def test_score_flat_in_k_on_synthetic_data(self):
-        # tolerance 0.05 calibrated on pilot runs of this configuration
-        spreads = []
-        for seed in range(3):
-            truth, data = generate_synthetic(
-                SynthConfig(Q=40, N=40, K=5, seed=200 + seed)
-            )
-            cfg = MLConfig(lambda_l1=0.1, max_outer=25)
-            _, _, scores = cross_validate(data, [3, 5, 7], [0.1], folds=4,
-                                          seed=seed, base_config=cfg)
-            means = [float(np.mean(scores[(k, 0.1)])) for k in (3, 5, 7)]
-            spreads.append(max(means) - min(means))
-        assert max(spreads) < 0.05
 
 
 def test_benchmark_csv_format(tmp_path):
