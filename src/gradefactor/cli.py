@@ -47,15 +47,41 @@ def _parse_link(text):
         raise DataError(f"unknown link {text!r}; use 'probit' or 'logit'")
 
 
-def _positive_number(text, what="value"):
-    """--lambda value and each --lambda-grid entry: a finite number > 0."""
+def _finite_number(text):
+    """float(text) when that is finite, else None."""
     try:
         value = float(text)
     except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _positive_number(text, what="value"):
+    """--lambda, --gamma and each --lambda-grid entry: a finite number > 0."""
+    value = _finite_number(text)
+    if value is None or value <= 0:
         raise argparse.ArgumentTypeError(
             f"bad {what} {text.strip()!r}: expected a positive number"
+        )
+    return value
+
+
+def _non_negative_number(text):
+    """--mu-w and --outer-tol: a finite number >= 0."""
+    value = _finite_number(text)
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text.strip()!r}: expected a non-negative number"
+        )
+    return value
+
+
+def _probability(text):
+    """--threshold: a number in [0, 1]."""
+    value = _finite_number(text)
+    if value is None or not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(
+            f"bad value {text.strip()!r}: expected a number in [0, 1]"
         )
     return value
 
@@ -68,7 +94,8 @@ def _lambda_grid(text):
 
 
 def _positive_int(text):
-    """Iteration, restart and thread counts: an integer >= 1."""
+    """Concept, iteration, sample, restart and thread counts and the ksvd
+    sparsity budget: an integer >= 1."""
     try:
         value = int(text)
     except ValueError:
@@ -411,7 +438,7 @@ def build_parser():
     p_fit.add_argument("--method", required=True, choices=["ml", "bayes", "ksvd"])
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--out", required=True)
-    p_fit.add_argument("--k", type=int, required=True)
+    p_fit.add_argument("--k", type=_positive_int, required=True)
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--link", default="probit")
     lam_choice = p_fit.add_mutually_exclusive_group()
@@ -419,20 +446,20 @@ def build_parser():
                             default=None)
     lam_choice.add_argument("--lambda-grid", type=_lambda_grid, default=None,
                             help="comma-separated candidates scored by BIC")
-    p_fit.add_argument("--gamma", type=float, default=0.1)
-    p_fit.add_argument("--mu-w", type=float, default=1e-4)
+    p_fit.add_argument("--gamma", type=_positive_number, default=0.1)
+    p_fit.add_argument("--mu-w", type=_non_negative_number, default=1e-4)
     p_fit.add_argument("--inner-iters", type=_positive_int, default=10)
     p_fit.add_argument("--max-outer", type=_positive_int, default=500)
-    p_fit.add_argument("--outer-tol", type=float, default=1e-6)
+    p_fit.add_argument("--outer-tol", type=_non_negative_number, default=1e-6)
     p_fit.add_argument("--restarts", type=_positive_int, default=1)
     p_fit.add_argument("--threads", type=_positive_int, default=1)
-    p_fit.add_argument("--burnin", type=int, default=1000)
-    p_fit.add_argument("--samples", type=int, default=1000)
-    p_fit.add_argument("--threshold", type=float, default=0.35,
+    p_fit.add_argument("--burnin", type=_positive_int, default=1000)
+    p_fit.add_argument("--samples", type=_positive_int, default=1000)
+    p_fit.add_argument("--threshold", type=_probability, default=0.35,
                        help="activity threshold for the bayes point estimate")
-    p_fit.add_argument("--sparsity", type=int, default=3,
+    p_fit.add_argument("--sparsity", type=_positive_int, default=3,
                        help="per-question nonzero budget for ksvd")
-    p_fit.add_argument("--ksvd-iters", type=int, default=20)
+    p_fit.add_argument("--ksvd-iters", type=_positive_int, default=20)
     p_fit.set_defaults(func=cmd_fit)
 
     p_graph = sub.add_parser("graph", help="emit a DOT concept map")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -30,21 +31,24 @@ def default_learner_ids(N):
     return [f"l{j + 1}" for j in range(N)]
 
 
+# byte code of a response cell: missing, observed 0, observed 1; _BAD_CELL
+# marks a cell that is none of these before stripping
+_CELL_CODE = {"": 0, "0": 1, "1": 2}
+_CODE_CELL = tuple(_CELL_CODE)
+_BAD_CELL = 3
+
+
 def write_response_csv(path, data: ResponseMatrix, question_ids=None,
                        learner_ids=None):
     question_ids = question_ids or default_question_ids(data.Q)
     learner_ids = learner_ids or default_learner_ids(data.N)
+    # entries are 0 wherever the mask is False, so this is the cell code
+    codes = data.mask + data.entries.astype(np.uint8)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["question_id", *learner_ids])
-        for i, qid in enumerate(question_ids):
-            row = [qid]
-            for j in range(data.N):
-                if data.mask[i, j]:
-                    row.append(str(int(data.entries[i, j])))
-                else:
-                    row.append("")
-            writer.writerow(row)
+        for qid, row in zip(question_ids, codes, strict=True):
+            writer.writerow([qid, *map(_CODE_CELL.__getitem__, row.tolist())])
 
 
 def read_response_csv(path):
@@ -56,29 +60,34 @@ def read_response_csv(path):
     learner_ids = rows[0][1:]
     _reject_duplicate(path, "learner", learner_ids)
     question_ids = []
-    entries, mask = [], []
+    codes = bytearray()
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != len(learner_ids) + 1:
             raise ValueError(
                 f"{path}:{lineno}: expected {len(learner_ids) + 1} cells, got {len(row)}"
             )
         question_ids.append(row[0])
-        ent_row, mask_row = [], []
-        for cell in row[1:]:
-            cell = cell.strip()
-            if cell == "":
-                ent_row.append(0.0)
-                mask_row.append(False)
-            elif cell in ("0", "1"):
-                ent_row.append(float(cell))
-                mask_row.append(True)
-            else:
-                raise ValueError(f"{path}:{lineno}: bad response value {cell!r}")
-        entries.append(ent_row)
-        mask.append(mask_row)
+        row_codes = bytes(map(_CELL_CODE.get, islice(row, 1, None), repeat(_BAD_CELL)))
+        if _BAD_CELL in row_codes:
+            row_codes = _padded_row_codes(path, lineno, row)
+        codes += row_codes
     _reject_duplicate(path, "question", question_ids)
-    data = ResponseMatrix(np.asarray(entries), np.asarray(mask, dtype=bool))
+    codes = np.frombuffer(codes, dtype=np.uint8).reshape(len(question_ids),
+                                                         len(learner_ids))
+    data = ResponseMatrix(codes == _CELL_CODE["1"], codes != _CELL_CODE[""])
     return data, question_ids, learner_ids
+
+
+def _padded_row_codes(path, lineno, row):
+    """Cell codes of a row with padded or bad cells; raises at the first
+    cell that is not blank, 0 or 1 once stripped."""
+    row_codes = bytearray()
+    for cell in row[1:]:
+        cell = cell.strip()
+        if cell not in _CELL_CODE:
+            raise ValueError(f"{path}:{lineno}: bad response value {cell!r}")
+        row_codes.append(_CELL_CODE[cell])
+    return row_codes
 
 
 def _reject_duplicate(path, kind, ids):
@@ -90,11 +99,10 @@ def _reject_duplicate(path, kind, ids):
 
 
 def write_mask_json(path, data: ResponseMatrix):
-    pairs = [[int(i), int(j)] for i, j in np.argwhere(data.mask)]
-    payload = {"n_observed": data.n_observed, "pairs": pairs}
+    payload = {"n_observed": data.n_observed, "pairs": np.argwhere(data.mask).tolist()}
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+        # dumps, not dump: only the one-shot encoder runs in C
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def model_to_dict(model: FactorModel, extras=None):

@@ -28,6 +28,13 @@ from .links import LinkKind, hazard, log_inv_link, scalar_lipschitz
 from .model import Dimensions, FactorModel, ResponseMatrix, log_likelihood
 
 _L_FLOOR = 1e-12
+# fits with fewer cells (Q * N) than this run their restarts serially even
+# when threads are offered: each step is then mostly Python overhead under
+# the interpreter lock, so a second thread adds contention, not speed.
+# Measured with 2 restarts on 2 threads against 1 (BIC over 4 lambdas, 25
+# outer iterations): a second thread breaks even near 2000 cells for probit
+# and 6000 for logit, whose cheaper kernels release the lock for less time.
+_SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 2_000, LinkKind.LOGIT: 6_000}
 
 
 @dataclass
@@ -279,7 +286,10 @@ def fit_ml(data: ResponseMatrix, K: int, config: MLConfig, n_threads: int = 1):
 
     Runs config.restarts random initializations (deterministically seeded
     from config.seed) and returns the model with the smallest final
-    objective together with its objective trace.
+    objective together with its objective trace.  The restarts run on
+    n_threads threads only when the matrix has at least
+    _SERIAL_RESTART_CELLS[config.link] cells; the result is the same
+    either way.
 
     Returns
     -------
@@ -291,7 +301,8 @@ def fit_ml(data: ResponseMatrix, K: int, config: MLConfig, n_threads: int = 1):
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     data.observed  # build the shared view before restarts start on threads
 
-    if n_threads > 1 and config.restarts > 1:
+    if (n_threads > 1 and config.restarts > 1
+            and data.Q * data.N >= _SERIAL_RESTART_CELLS[config.link]):
         with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
             results = list(
                 pool.map(lambda s: _run_restart(data, K, config, s), seeds)

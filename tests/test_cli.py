@@ -241,6 +241,19 @@ class TestFit:
         (["--threads", "-3", "--restarts", "2"], "expected a positive integer"),
         (["--inner-iters", "0"], "expected a positive integer"),
         (["--max-outer", "0"], "expected a positive integer"),
+        (["--k", "0"], "expected a positive integer"),
+        (["--gamma", "0"], "expected a positive number"),
+        (["--gamma", "nan"], "expected a positive number"),
+        (["--mu-w", "-1"], "expected a non-negative number"),
+        (["--outer-tol", "-1"], "expected a non-negative number"),
+        (["--outer-tol", "inf"], "expected a non-negative number"),
+        # a later --method overrides the test's --method ml
+        (["--method", "bayes", "--samples", "0"], "expected a positive integer"),
+        (["--method", "bayes", "--burnin", "0"], "expected a positive integer"),
+        (["--method", "bayes", "--threshold", "2"], "expected a number in [0, 1]"),
+        (["--method", "bayes", "--threshold", "nan"], "expected a number in [0, 1]"),
+        (["--method", "ksvd", "--ksvd-iters", "0"], "expected a positive integer"),
+        (["--method", "ksvd", "--sparsity", "0"], "expected a positive integer"),
     ])
     def test_out_of_range_option_usage_error(self, sim_dir, tmp_path, capsys, option,
                                              message):
@@ -251,6 +264,18 @@ class TestFit:
         assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("option", [
+        ["--mu-w", "0", "--outer-tol", "0", "--max-outer", "3"],
+        ["--method", "bayes", "--burnin", "1", "--samples", "1", "--threshold", "0"],
+        ["--method", "bayes", "--burnin", "1", "--samples", "1", "--threshold", "1"],
+    ])
+    def test_range_bounds_accepted(self, sim_dir, tmp_path, option):
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--method", "ml", "--data",
+                   str(sim_dir / "synth_responses.csv"), "--out", str(out),
+                   "--k", "2", *option])
+        assert rc == 0 and out.exists()
 
     @pytest.mark.parametrize("text,kind,ident", [
         ("question_id,l1,l2,l1\nq1,1,0,1\n", "learner", "l1"),

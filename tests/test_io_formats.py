@@ -1,0 +1,172 @@
+"""Response CSV and mask JSON contracts: what the reader accepts and
+rejects (word for word), and that writer and reader round-trip.  A
+cell-by-cell loop reader and writer serve as the reference."""
+
+import csv
+import json
+
+import numpy as np
+import pytest
+
+from gradefactor.io_formats import (
+    read_response_csv,
+    write_mask_json,
+    write_response_csv,
+)
+from gradefactor.model import ResponseMatrix
+
+
+def loop_read(path):
+    """Reference reader: strip and check every cell in Python."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    entries, mask = [], []
+    for row in rows[1:]:
+        cells = [cell.strip() for cell in row[1:]]
+        assert all(cell in ("", "0", "1") for cell in cells)
+        entries.append([float(cell or 0) for cell in cells])
+        mask.append([cell != "" for cell in cells])
+    data = ResponseMatrix(np.asarray(entries), np.asarray(mask, dtype=bool))
+    return data, [row[0] for row in rows[1:]], rows[0][1:]
+
+
+def loop_write(path, data, question_ids, learner_ids):
+    """Reference writer: one str(int(...)) per observed cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["question_id", *learner_ids])
+        for i, qid in enumerate(question_ids):
+            writer.writerow([qid] + [str(int(data.entries[i, j])) if data.mask[i, j]
+                                     else "" for j in range(data.N)])
+
+
+def write_text(tmp_path, text, newline=""):
+    path = tmp_path / "responses.csv"
+    with open(path, "w", newline=newline) as fh:
+        fh.write(text)
+    return path
+
+
+class TestReaderAccepts:
+    def test_quoted_ids(self, tmp_path):
+        path = write_text(tmp_path, 'question_id,"l,1","l ""2"""\n'
+                                    '"q ""a"", 1",1,\n"q,2",,0\n')
+        data, qids, lids = read_response_csv(path)
+        assert lids == ["l,1", 'l "2"']
+        assert qids == ['q "a", 1', "q,2"]
+        np.testing.assert_array_equal(data.entries, [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(data.mask, [[True, False], [False, True]])
+
+    def test_padded_cells(self, tmp_path):
+        path = write_text(tmp_path, "question_id,a,b,c\nq1, 1 ,\t0,  \nq2,0,1 ,\n")
+        data, _, _ = read_response_csv(path)
+        np.testing.assert_array_equal(data.entries, [[1, 0, 0], [0, 1, 0]])
+        np.testing.assert_array_equal(data.mask, [[True, True, False],
+                                                  [True, True, False]])
+
+    def test_crlf_line_endings(self, tmp_path):
+        text = "question_id,a,b\nq1,1,\nq2,,0\n"
+        lf, _, _ = read_response_csv(write_text(tmp_path, text))
+        crlf_path = write_text(tmp_path, text.replace("\n", "\r\n"))
+        assert b"\r\n" in crlf_path.read_bytes()
+        crlf, qids, lids = read_response_csv(crlf_path)
+        assert (qids, lids) == (["q1", "q2"], ["a", "b"])
+        np.testing.assert_array_equal(crlf.entries, lf.entries)
+        np.testing.assert_array_equal(crlf.mask, lf.mask)
+
+
+class TestReaderRejects:
+    @pytest.mark.parametrize("text,message", [
+        ("question_id,a,b\nq1,1,0\n\nq3,0,1\n", ":3: expected 3 cells, got 0"),
+        ("question_id,a,b\nq1,1\nq2,0,1\n", ":2: expected 3 cells, got 2"),
+        ("question_id,a,b\nq1,1,0\nq2,0,1,1\n", ":3: expected 3 cells, got 4"),
+        ("question_id,a,b\nq1,1,0\nq2,0, 2 \n", ":3: bad response value '2'"),
+        ("question_id,a,b\nq1,1,0\nq2,x,1\n", ":3: bad response value 'x'"),
+        ("question_id,a,b\nq1,1.0,0\n", ":2: bad response value '1.0'"),
+    ])
+    def test_bad_row_names_path_and_line(self, tmp_path, text, message):
+        path = write_text(tmp_path, text)
+        with pytest.raises(ValueError) as caught:
+            read_response_csv(path)
+        assert str(caught.value) == f"{path}{message}"
+
+    def test_first_bad_row_wins(self, tmp_path):
+        path = write_text(tmp_path, "question_id,a,b\nq1,1,2\nq2,0\n")
+        with pytest.raises(ValueError, match=":2: bad response value '2'"):
+            read_response_csv(path)
+
+    def test_header_only(self, tmp_path):
+        path = write_text(tmp_path, "question_id,a,b\n")
+        with pytest.raises(ValueError, match="^entries must be a Q x N matrix"):
+            read_response_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "question_id\nq1\n"])
+    def test_no_learner_header(self, tmp_path, text):
+        path = write_text(tmp_path, text)
+        with pytest.raises(ValueError) as caught:
+            read_response_csv(path)
+        assert str(caught.value) == f"{path}: expected a header with at least one learner"
+
+
+def random_matrix(rng, Q, N, p_obs):
+    """Random responses at p_obs with question 0 and learner 0 unobserved."""
+    mask = rng.random((Q, N)) < p_obs
+    mask[0, :] = False
+    mask[:, 0] = False
+    return ResponseMatrix((rng.random((Q, N)) < 0.5).astype(float), mask)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("p_obs", [0.0, 0.1, 1.0])
+    def test_write_then_read(self, tmp_path, p_obs):
+        rng = np.random.default_rng(8)
+        data = random_matrix(rng, 9, 13, p_obs)
+        qids = [f'q "{i}", x' for i in range(9)]
+        lids = [f"l,{j}" for j in range(13)]
+        path = tmp_path / "r.csv"
+        write_response_csv(path, data, qids, lids)
+        back, back_qids, back_lids = read_response_csv(path)
+        assert np.array_equal(back.entries, data.entries)
+        assert np.array_equal(back.mask, data.mask)
+        assert (back_qids, back_lids) == (qids, lids)
+
+    @pytest.mark.parametrize("p_obs", [0.0, 0.1, 1.0])
+    def test_writer_matches_loop_writer(self, tmp_path, p_obs):
+        data = random_matrix(np.random.default_rng(9), 11, 7, p_obs)
+        write_response_csv(tmp_path / "fast.csv", data)
+        loop_write(tmp_path / "loop.csv", data, [f"q{i + 1}" for i in range(11)],
+                   [f"l{j + 1}" for j in range(7)])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+
+    @pytest.mark.parametrize("n_ids", [2, 4])
+    def test_writer_rejects_wrong_question_id_count(self, tmp_path, n_ids):
+        data = ResponseMatrix(np.ones((3, 2)))
+        with pytest.raises(ValueError):
+            write_response_csv(tmp_path / "r.csv", data, [f"q{i}" for i in range(n_ids)])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reader_matches_loop_reader_on_padded_cells(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        cells = np.array(["", "0", "1", " 1", "0 ", "\t1", "  ", " 0\t"])
+        grid = cells[rng.integers(0, cells.size, size=(6, 5))]
+        lines = ["question_id,a,b,c,d,e"]
+        lines += [",".join([f"q{i}", *row]) for i, row in enumerate(grid)]
+        path = write_text(tmp_path, "\n".join(lines) + "\n")
+        got, got_qids, got_lids = read_response_csv(path)
+        want, want_qids, want_lids = loop_read(path)
+        assert np.array_equal(got.entries, want.entries)
+        assert np.array_equal(got.mask, want.mask)
+        assert (got_qids, got_lids) == (want_qids, want_lids)
+
+
+class TestMaskJson:
+    @pytest.mark.parametrize("p_obs", [0.0, 0.3, 1.0])
+    def test_bytes_equal_json_dump(self, tmp_path, p_obs):
+        data = random_matrix(np.random.default_rng(10), 8, 6, p_obs)
+        write_mask_json(tmp_path / "mask.json", data)
+        payload = {"n_observed": data.n_observed,
+                   "pairs": [[int(i), int(j)] for i, j in np.argwhere(data.mask)]}
+        with open(tmp_path / "ref.json", "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.write("\n")
+        assert (tmp_path / "mask.json").read_bytes() == (tmp_path / "ref.json").read_bytes()

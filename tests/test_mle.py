@@ -4,11 +4,13 @@ outer-loop monotonicity guarantee."""
 
 import math
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
+from gradefactor import mle
 from gradefactor.links import LinkKind
 from gradefactor.mle import (
     MLConfig,
@@ -470,7 +472,8 @@ class TestFit:
 
     @pytest.mark.parametrize("p_obs", [1.0, 0.5])
     def test_thread_parallel_restarts_identical(self, p_obs):
-        truth, data = generate_synthetic(SynthConfig(Q=15, N=15, K=2, p_obs=p_obs,
+        # 50 x 50 cells: above the probit serial-restart threshold
+        truth, data = generate_synthetic(SynthConfig(Q=50, N=50, K=2, p_obs=p_obs,
                                                      seed=6))
         cfg = MLConfig(lambda_l1=0.2, seed=3, restarts=3, max_outer=15)
         serial, _ = fit_ml(data, 2, cfg, n_threads=1)
@@ -484,6 +487,26 @@ class TestFit:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(serial.W, threaded.W)
         np.testing.assert_array_equal(serial.C, threaded.C)
+
+    @pytest.mark.parametrize("link,Q,N,pooled", [
+        (LinkKind.PROBIT, 40, 49, False),
+        (LinkKind.PROBIT, 40, 50, True),
+        (LinkKind.LOGIT, 60, 99, False),
+        (LinkKind.LOGIT, 60, 100, True),
+    ])
+    def test_small_fits_run_restarts_serially(self, monkeypatch, link, Q, N, pooled):
+        _, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=2, seed=6))
+        threads = []
+
+        def recording(*args, _real=mle._run_restart):
+            threads.append(threading.get_ident())
+            return _real(*args)
+
+        monkeypatch.setattr(mle, "_run_restart", recording)
+        fit_ml(data, 2, MLConfig(lambda_l1=0.2, link=link, restarts=2, max_outer=1),
+               n_threads=2)
+        assert len(threads) == 2
+        assert (threading.get_ident() not in threads) == pooled
 
     def test_best_restart_selected(self):
         truth, data = generate_synthetic(SynthConfig(Q=15, N=15, K=2, seed=7))
@@ -632,8 +655,6 @@ class TestBicSelection:
         assert selection.trace.restart_index == trace.restart_index
 
     def test_table_has_one_row_per_distinct_lambda(self, monkeypatch):
-        import gradefactor.mle as mle
-
         truth, data = generate_synthetic(SynthConfig(Q=12, N=12, K=2, seed=13))
         fitted = []
 
