@@ -10,7 +10,7 @@ from .evaluate import EvalReport, eval_metrics, predict_heldout
 from .ksvd import KsvdConfig, fit_ksvd
 from .links import LinkKind
 from .mle import FitTrace, LambdaSelection, MLConfig, bic_select_lambda, fit_ml
-from .model import FactorModel, ResponseMatrix, log_likelihood, predict_prob, slack
+from .model import FactorModel, ResponseMatrix, log_likelihood, slack
 from .synth import SynthConfig, generate_synthetic
 from .tags import TagMatrix, fit_tag_map, learner_tag_knowledge, solve_bpdn_plus
 
@@ -39,7 +39,6 @@ __all__ = [
     "log_likelihood",
     "posterior_point_estimates",
     "predict_heldout",
-    "predict_prob",
     "run_gibbs",
     "slack",
     "solve_bpdn_plus",

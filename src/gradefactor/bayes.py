@@ -57,31 +57,6 @@ class SpikeSlabHyperparams:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
 
-    def resolve(self, K: int, data: ResponseMatrix | None = None):
-        v0 = np.eye(K) if self.v0 is None else np.asarray(self.v0, dtype=float)
-        if v0.shape != (K, K):
-            raise ValueError(f"v0 must be {K} x {K}")
-        if not np.isfinite(v0).all():
-            raise ValueError("v0 must be finite")
-        if not np.allclose(v0, v0.T):
-            raise ValueError("v0 must be symmetric")
-        if np.linalg.eigvalsh(v0)[0] <= 0:
-            raise ValueError("v0 must be positive definite")
-        h = float(K + 1) if self.h is None else float(self.h)
-        if not (math.isfinite(h) and h > K - 1):
-            raise ValueError("h must be finite and exceed K - 1")
-        if self.mu0 is not None:
-            mu0 = float(self.mu0)
-            if not math.isfinite(mu0):
-                raise ValueError("mu0 must be finite")
-        elif data is not None and data.n_observed > 0:
-            rate = float(data.entries[data.mask].mean())
-            rate = min(max(rate, 1e-6), 1.0 - 1e-6)
-            mu0 = float(special.ndtri(rate))
-        else:
-            mu0 = 0.0
-        return v0, h, mu0
-
 
 @dataclass
 class GibbsState:
@@ -175,11 +150,11 @@ def _std_truncnorm_lower(a, rng):
     return out
 
 
-def sample_truncnorm(mean, var, side, rng, size=None):
+def sample_truncnorm(mean, var, side, rng):
     """Draw normal variates constrained strictly to one side of zero.
 
     side is "positive" (support (0, inf)) or "negative" ((-inf, 0)).
-    mean and var broadcast; size optionally expands scalar parameters.
+    mean and var broadcast; the draws take the broadcast shape.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
@@ -187,8 +162,8 @@ def sample_truncnorm(mean, var, side, rng, size=None):
         raise ValueError("variance must be positive")
     if side not in ("positive", "negative"):
         raise ValueError("side must be 'positive' or 'negative'")
-    scalar_in = mean.ndim == 0 and var.ndim == 0 and size is None
-    shape = np.broadcast(mean, var).shape if size is None else size
+    scalar_in = mean.ndim == 0 and var.ndim == 0
+    shape = np.broadcast(mean, var).shape
     # draw on the positive side; a negative draw is a mirrored positive one
     m = mean if mean.shape == shape else np.broadcast_to(mean, shape)
     if side == "negative":
@@ -206,7 +181,7 @@ def sample_truncnorm(mean, var, side, rng, size=None):
     return float(x) if scalar_in else x
 
 
-def sample_rect_normal(m, s, lam, rng, size=None):
+def sample_rect_normal(m, s, lam, rng):
     """Draw from the exponentially tilted normal on [0, inf).
 
     The density proportional to exp(-(x-m)^2 / 2s - lam*x) on x >= 0 is a
@@ -219,7 +194,7 @@ def sample_rect_normal(m, s, lam, rng, size=None):
         raise ValueError("slab variance must be positive")
     if (np.asarray(lam) < 0).any():
         raise ValueError("tilt rate must be non-negative")
-    return sample_truncnorm(m - lam * s, s, "positive", rng, size=size)
+    return sample_truncnorm(m - lam * s, s, "positive", rng)
 
 
 def rect_normal_logpdf(x, m, s, lam):
@@ -233,15 +208,6 @@ def rect_normal_logpdf(x, m, s, lam):
         - special.log_ndtr(theta / root_s)
     )
     return np.where(x >= 0, logpdf, -np.inf)
-
-
-def _log_rect_at_zero(m_hat, s_hat, lam):
-    theta = m_hat - lam * s_hat
-    return (
-        -(theta * theta) / (2.0 * s_hat)
-        - 0.5 * np.log(2.0 * math.pi * s_hat)
-        - special.log_ndtr(theta / np.sqrt(s_hat))
-    )
 
 
 def sample_inv_wishart(scale, df, rng):
@@ -333,24 +299,17 @@ def step_covariance(state: GibbsState, hyper_resolved, rng):
     state.V[:] = sample_inv_wishart(scale, N + h, rng)
 
 
-def step_weights(state: GibbsState, data: ResponseMatrix, rng, order=None,
-                 rngs=None):
+def step_weights(state: GibbsState, data: ResponseMatrix, rng):
     """Spike-slab draw of every question-concept weight, one concept
     column at a time (entries within a column are independent given the
-    rest).
-
-    order and rngs permit concept-relabelled replays: column order[k] is
-    updated with generator rngs[k].  Entries whose concept carries no
-    observed signal fall back to their prior.
+    rest).  Entries whose concept carries no observed signal fall back
+    to their prior.
     """
     W, C, Z, mu = state.W, state.C, state.Z, state.mu
     Q, K = W.shape
     maskf = data.observed.float_mask
     R = Z - mu[:, None] - W @ C
-    if order is None:
-        order = range(K)
-    for pos, k in enumerate(order):
-        gen = rng if rngs is None else rngs[pos]
+    for k in range(K):
         lam_k = float(state.lam[k])
         r_k = float(state.r[k])
         ck = C[k]
@@ -364,47 +323,38 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng, order=None,
         m_hat = num[rows] / den[rows]
         s_hat = 1.0 / den[rows]
         act = np.full(Q, r_k)
-        log_ratio = _log_rect_at_zero(m_hat, s_hat, lam_k)
+        log_ratio = rect_normal_logpdf(0.0, m_hat, s_hat, lam_k)
         act[rows] = special.expit(
             -(log_ratio - np.log(lam_k)) + np.log(r_k) - np.log1p(-r_k)
         )
-        active = gen.random(Q) < act
+        active = rng.random(Q) < act
         new_col = np.zeros(Q)
-        slab = sample_rect_normal(m_hat, s_hat, lam_k, gen)
+        slab = sample_rect_normal(m_hat, s_hat, lam_k, rng)
         new_col[rows] = np.where(active[rows], slab, 0.0)
         if not all_good:
             fallback = active & ~good
             if fallback.any():
-                new_col[fallback] = gen.exponential(1.0 / lam_k, int(fallback.sum()))
+                new_col[fallback] = rng.exponential(1.0 / lam_k, int(fallback.sum()))
         R += (W[:, k] - new_col)[:, None] * ck
         W[:, k] = new_col
         state.activity[:, k] = act
 
 
-def step_rates(state: GibbsState, hyper_resolved, rng, order=None, rngs=None):
+def step_rates(state: GibbsState, hyper_resolved, rng):
     """Gamma update of the per-concept exponential slab rates."""
     hyper = hyper_resolved.hyper
     b = np.count_nonzero(state.W, axis=0)
     colsum = state.W.sum(axis=0)
-    K = state.W.shape[1]
-    if order is None:
-        order = range(K)
-    for pos, k in enumerate(order):
-        gen = rng if rngs is None else rngs[pos]
-        state.lam[k] = gen.gamma(hyper.alpha + b[k], 1.0 / (hyper.beta + colsum[k]))
+    state.lam[:] = rng.gamma(hyper.alpha + b, 1.0 / (hyper.beta + colsum))
 
 
-def step_inclusion(state: GibbsState, hyper_resolved, rng, order=None, rngs=None):
+def step_inclusion(state: GibbsState, hyper_resolved, rng):
     """Beta update of the per-concept inclusion rates."""
     hyper = hyper_resolved.hyper
-    Q, K = state.W.shape
+    Q = state.W.shape[0]
     b = np.count_nonzero(state.W, axis=0)
-    if order is None:
-        order = range(K)
-    for pos, k in enumerate(order):
-        gen = rng if rngs is None else rngs[pos]
-        draw = gen.beta(hyper.e + b[k], hyper.f + Q - b[k])
-        state.r[k] = min(max(draw, _R_CLIP), 1.0 - _R_CLIP)
+    state.r[:] = np.clip(rng.beta(hyper.e + b, hyper.f + Q - b), _R_CLIP,
+                         1.0 - _R_CLIP)
 
 
 class _Resolved(NamedTuple):
@@ -415,19 +365,33 @@ class _Resolved(NamedTuple):
     hyper: SpikeSlabHyperparams
 
 
-def _resolve(hyper: SpikeSlabHyperparams, K, data):
-    v0, h, mu0 = hyper.resolve(K, data)
+def _resolve(hyper: SpikeSlabHyperparams, K: int,
+             data: ResponseMatrix) -> _Resolved:
+    """Validate hyper for K concepts and fill its None fields with the
+    data-driven defaults."""
+    v0 = np.eye(K) if hyper.v0 is None else np.asarray(hyper.v0, dtype=float)
+    if v0.shape != (K, K):
+        raise ValueError(f"v0 must be {K} x {K}")
+    if not np.isfinite(v0).all():
+        raise ValueError("v0 must be finite")
+    if not np.allclose(v0, v0.T):
+        raise ValueError("v0 must be symmetric")
+    if np.linalg.eigvalsh(v0)[0] <= 0:
+        raise ValueError("v0 must be positive definite")
+    h = float(K + 1) if hyper.h is None else float(hyper.h)
+    if not (math.isfinite(h) and h > K - 1):
+        raise ValueError("h must be finite and exceed K - 1")
+    if hyper.mu0 is not None:
+        mu0 = float(hyper.mu0)
+        if not math.isfinite(mu0):
+            raise ValueError("mu0 must be finite")
+    elif data.n_observed > 0:
+        rate = float(data.entries[data.mask].mean())
+        rate = min(max(rate, 1e-6), 1.0 - 1e-6)
+        mu0 = float(special.ndtri(rate))
+    else:
+        mu0 = 0.0
     return _Resolved(v0, h, mu0, hyper.v_mu, hyper)
-
-
-def gibbs_sweep(state: GibbsState, data: ResponseMatrix,
-                hyper: SpikeSlabHyperparams, rng):
-    """One full systematic sweep over all seven conditionals.
-
-    hyper is resolved and validated on every call; run_gibbs does that
-    once per run and then sweeps with the resolved values.
-    """
-    return _sweep(state, data, _resolve(hyper, state.W.shape[1], data), rng)
 
 
 def _sweep(state: GibbsState, data: ResponseMatrix, resolved: _Resolved, rng):
@@ -439,12 +403,6 @@ def _sweep(state: GibbsState, data: ResponseMatrix, resolved: _Resolved, rng):
     step_rates(state, resolved, rng)
     step_inclusion(state, resolved, rng)
     return state
-
-
-def init_gibbs_state(data: ResponseMatrix, K: int, hyper: SpikeSlabHyperparams,
-                     rng) -> GibbsState:
-    """Draw an initial state from the priors."""
-    return _initial_state(data, K, _resolve(hyper, K, data), rng)
 
 
 def _initial_state(data: ResponseMatrix, K: int, resolved: _Resolved,
@@ -481,8 +439,7 @@ def run_gibbs(data: ResponseMatrix, K: int,
     The 30k/30k default matches the long-run protocol; desk-scale
     experiments typically use a couple of thousand each.  Statistics are
     accumulated over the post-burn-in sweeps only.  The hyperparameters
-    are resolved and validated once per run, not once per sweep; the
-    chain equals init_gibbs_state followed by gibbs_sweep calls.
+    are resolved and validated once per run, not once per sweep.
     """
     if burn_in < 1 or n_samples < 1:
         raise ValueError("burn_in and n_samples must be >= 1")

@@ -10,7 +10,6 @@ outputs.  Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -93,18 +92,27 @@ def _lambda_grid(text):
     return [_positive_number(item, "lambda grid entry") for item in text.split(",")]
 
 
-def _positive_int(text):
-    """Concept, iteration, sample, restart and thread counts and the ksvd
-    sparsity budget: an integer >= 1."""
+def _int_at_least(text, minimum, expected):
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
+        value = minimum - 1
+    if value < minimum:
         raise argparse.ArgumentTypeError(
-            f"bad value {text.strip()!r}: expected a positive integer"
+            f"bad value {text.strip()!r}: expected {expected}"
         )
     return value
+
+
+def _positive_int(text):
+    """Concept, iteration, sample, restart and thread counts and the ksvd
+    sparsity budget: an integer >= 1."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _non_negative_int(text):
+    """--seed: an integer >= 0, as numpy's generators require."""
+    return _int_at_least(text, 0, "a non-negative integer")
 
 
 def read_config_file(path):
@@ -203,7 +211,7 @@ def _fit_ml(args, data):
         outer_tol=args.outer_tol,
         restarts=args.restarts,
         seed=args.seed,
-        link=_parse_link(args.link),
+        link=LinkKind(args.link),
     )
     extras = {"method": "ml", "lambda_l1": config.lambda_l1}
     if args.lambda_grid is not None:
@@ -402,9 +410,7 @@ def cmd_eval(args):
         raise DataError("nothing to evaluate: pass --truth, --holdout or --tags")
 
     out = Path(args.out)
-    with open(out, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    io_formats.write_json(out, report)
     if args.csv:
         evaluate.write_benchmark_csv(args.csv, csv_rows)
     inputs = [p for p in (args.model, args.truth, args.holdout, args.train,
@@ -439,8 +445,9 @@ def build_parser():
     p_fit.add_argument("--data", required=True)
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--k", type=_positive_int, required=True)
-    p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--link", default="probit")
+    p_fit.add_argument("--seed", type=_non_negative_int, default=0)
+    p_fit.add_argument("--link", default="probit",
+                       choices=[kind.value for kind in LinkKind])
     lam_choice = p_fit.add_mutually_exclusive_group()
     lam_choice.add_argument("--lambda", dest="lam", type=_positive_number,
                             default=None)
@@ -486,6 +493,9 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "fit" and args.method == "ksvd" and args.sparsity > args.k:
+            parser.error(f"--sparsity {args.sparsity} exceeds --k {args.k}: a "
+                         "question cannot use more concepts than the model has")
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:

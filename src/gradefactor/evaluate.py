@@ -24,24 +24,18 @@ _EXHAUSTIVE_LIMIT = 10
 
 @dataclass
 class EvalReport:
-    """Normalized squared errors, support error, and prediction scores."""
+    """Normalized squared errors, support error and concept permutation."""
 
     e_w: float
     e_c: float
     e_mu: float
     e_h: float
     permutation: tuple = ()
-    prediction_accuracy: float | None = None
-    avg_prediction_likelihood: float | None = None
 
     def __post_init__(self):
         for name in ("e_w", "e_c", "e_mu", "e_h"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        for name in ("prediction_accuracy", "avg_prediction_likelihood"):
-            value = getattr(self, name)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 def _unit_columns(M):

@@ -98,11 +98,17 @@ def _reject_duplicate(path, kind, ids):
         seen.add(ident)
 
 
+def write_json(path, payload, indent=1):
+    """Write payload as JSON with sorted keys and a trailing newline."""
+    with open(path, "w") as fh:
+        # dumps, not dump: the same text in one write; dump writes token by
+        # token and, unlike an unindented dumps, never uses the C encoder
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+
+
 def write_mask_json(path, data: ResponseMatrix):
     payload = {"n_observed": data.n_observed, "pairs": np.argwhere(data.mask).tolist()}
-    with open(path, "w") as fh:
-        # dumps, not dump: only the one-shot encoder runs in C
-        fh.write(json.dumps(payload, sort_keys=True) + "\n")
+    write_json(path, payload, indent=None)
 
 
 def model_to_dict(model: FactorModel, extras=None):
@@ -125,9 +131,7 @@ def model_to_dict(model: FactorModel, extras=None):
 
 
 def write_model_json(path, model: FactorModel, extras=None):
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model, extras), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, model_to_dict(model, extras))
 
 
 def read_model_json(path):
@@ -214,6 +218,4 @@ def write_manifest(path, command, options, seed, inputs, outputs, elapsed_s):
         "outputs": [str(p) for p in outputs],
         "elapsed_s": elapsed_s,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, payload)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .links import LinkKind, inv_link, log_inv_link
+from .links import LinkKind, log_inv_link
 
 
 def _frozen_array(values, dtype=float):
@@ -131,13 +131,6 @@ class ResponseMatrix:
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "mask", mask)
 
-    @classmethod
-    def from_dense(cls, values):
-        """Build from a dense matrix where NaN marks a missing response."""
-        values = np.asarray(values, dtype=float)
-        mask = ~np.isnan(values)
-        return cls(np.where(mask, values, 0.0), mask)
-
     @property
     def Q(self) -> int:
         return self.entries.shape[0]
@@ -220,11 +213,3 @@ def log_likelihood(model: FactorModel, data: ResponseMatrix) -> float:
     obs = data.observed
     z = obs.gather(slack(model))
     return float(log_inv_link(obs.sign * z, model.link).sum())
-
-
-def predict_prob(model: FactorModel, i: int, j: int) -> float:
-    """Probability of a correct response by learner j on question i."""
-    if not (0 <= i < model.Q and 0 <= j < model.N):
-        raise IndexError(f"entry ({i}, {j}) out of range for {model.Q} x {model.N}")
-    z = float(model.W[i] @ model.C[:, j] + model.mu[i])
-    return float(inv_link(z, model.link))

@@ -2,9 +2,9 @@
 
 Instances are drawn from the model's own priors: sparse non-negative
 weights with exponential magnitudes, knowledge columns from a normal
-with an inverse-Wishart covariance, normal difficulties, and Bernoulli
-responses through the chosen link.  The observation mask is i.i.d.
-uniform at the requested rate.
+with an inverse-Wishart(I, K + 1) covariance, normal difficulties, and
+Bernoulli responses through the chosen link.  The observation mask is
+i.i.d. uniform at the requested rate.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ class SynthConfig:
     nnz_mode: tuple | None = None
     lambda_k: float = 2.0 / 3.0
     v_mu: float = 1.0
-    v0: np.ndarray | None = None
-    h: float | None = None
     p_obs: float = 1.0
     link: LinkKind = LinkKind.PROBIT
     seed: int = 0
@@ -92,9 +90,7 @@ def generate_synthetic(config: SynthConfig, rng=None):
         rng = np.random.default_rng(config.seed if rng is None else rng)
     Q, N, K = config.Q, config.N, config.K
     W = _draw_weights(config, rng)
-    v0 = np.eye(K) if config.v0 is None else np.asarray(config.v0, dtype=float)
-    h = float(K + 1) if config.h is None else float(config.h)
-    V = sample_inv_wishart(v0, h, rng)
+    V = sample_inv_wishart(np.eye(K), K + 1, rng)
     C = np.linalg.cholesky(V) @ rng.standard_normal((K, N))
     mu = rng.normal(0.0, np.sqrt(config.v_mu), Q)
     truth = FactorModel(W, C, mu, config.link)

@@ -16,6 +16,11 @@ import numpy as np
 
 _KKT_TOL = 1e-8
 _MAX_ITERS = 200_000
+# eta candidates scanned per concept, the most tags a concept's map may
+# keep, and the tags reported per concept
+_N_ETAS = 5
+_MAX_ACTIVE = 3
+_TOP_TAGS = 3
 
 
 @dataclass(frozen=True)
@@ -58,12 +63,12 @@ def _kkt_residual(T, w, a, eta):
     return res
 
 
-def solve_bpdn_plus(T, w, eta, max_iters=_MAX_ITERS, kkt_tol=_KKT_TOL):
+def solve_bpdn_plus(T, w, eta):
     """Minimize 0.5 ||w - T a||^2 + eta ||a||_1 over a >= 0.
 
     Accelerated projected gradient at constant step 1/sigma_max(T)^2 with
-    momentum restarts; iterates until the KKT residual drops below
-    kkt_tol (well inside the 1e-6 contract) or max_iters is hit.
+    momentum restarts; iterates until the KKT residual drops below 1e-8
+    (well inside the 1e-6 contract) or 200 000 iterations are done.
     """
     T = np.asarray(T, dtype=float)
     w = np.asarray(w, dtype=float)
@@ -78,7 +83,7 @@ def solve_bpdn_plus(T, w, eta, max_iters=_MAX_ITERS, kkt_tol=_KKT_TOL):
     x_prev = np.zeros(M)
     u = np.zeros(M)
     tau = 1.0
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         grad = gram @ u - tw
         x = np.maximum(u - t * (grad + eta), 0.0)
         if (u - x) @ (x - x_prev) > 0:
@@ -90,26 +95,26 @@ def solve_bpdn_plus(T, w, eta, max_iters=_MAX_ITERS, kkt_tol=_KKT_TOL):
             u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
             tau = tau_next
         x_prev = x
-        if it % 25 == 0 and _kkt_residual(T, w, x, eta) <= kkt_tol:
+        if it % 25 == 0 and _kkt_residual(T, w, x, eta) <= _KKT_TOL:
             break
     return x_prev
 
 
-def default_eta_grid(T, w, n_points: int = 5):
+def default_eta_grid(T, w):
     """Geometric grid below the smallest eta that zeroes the solution."""
     eta_max = float(np.abs(np.asarray(T).T @ np.asarray(w)).max())
     if eta_max <= 0:
-        return np.zeros(n_points)
-    return eta_max * np.geomspace(0.5, 1e-3, n_points)
+        return np.zeros(_N_ETAS)
+    return eta_max * np.geomspace(0.5, 1e-3, _N_ETAS)
 
 
-def fit_tag_map(W, tag_matrix: TagMatrix, eta=None, max_active: int = 3):
+def fit_tag_map(W, tag_matrix: TagMatrix):
     """Estimate the M x K tag-to-concept map, one concept at a time.
 
-    With eta fixed, every column uses it.  Otherwise each column scans a
-    small grid and keeps the best-reconstructing solution among those
-    with at most max_active tags (falling back to the sparsest grid
-    solution when none qualifies), mirroring top-3 tag readouts.
+    Each column scans a small eta grid and keeps the best-reconstructing
+    solution among those with at most three tags (falling back to the
+    sparsest grid solution when none qualifies), mirroring top-3 tag
+    readouts.
     """
     W = np.asarray(W, dtype=float)
     T = tag_matrix.T
@@ -119,16 +124,13 @@ def fit_tag_map(W, tag_matrix: TagMatrix, eta=None, max_active: int = 3):
     A = np.zeros((tag_matrix.M, K))
     for k in range(K):
         w_k = W[:, k]
-        if eta is not None:
-            A[:, k] = solve_bpdn_plus(T, w_k, eta)
-            continue
         best, best_err = None, np.inf
         fallback, fallback_key = None, None
         for cand in default_eta_grid(T, w_k):
             a = solve_bpdn_plus(T, w_k, cand)
             nnz = int(np.count_nonzero(a))
             err = float(np.sum((w_k - T @ a) ** 2))
-            if nnz <= max_active and err < best_err:
+            if nnz <= _MAX_ACTIVE and err < best_err:
                 best, best_err = a, err
             key = (nnz, -cand)
             if fallback_key is None or key < fallback_key:
@@ -150,12 +152,12 @@ def concept_tag_percentages(A, k: int):
     return a / total
 
 
-def top_tags(A, names, k: int, top: int = 3):
-    """Highest-weight tags of concept k as (name, share) pairs."""
+def top_tags(A, names, k: int):
+    """The three highest-weight tags of concept k as (name, share) pairs."""
     weights = concept_tag_percentages(A, k)
     order = np.argsort(-weights, kind="stable")
     out = []
-    for m in order[:top]:
+    for m in order[:_TOP_TAGS]:
         if weights[m] <= 0:
             break
         out.append((names[m], float(weights[m])))

@@ -290,7 +290,7 @@ def test_criterion_07_sampler_granularity():
         lambda x: x * math.exp(rect_normal_logpdf(x, m, s, lam)), 0.0, upper)
     second, _ = integrate.quad(
         lambda x: x * x * math.exp(rect_normal_logpdf(x, m, s, lam)), 0.0, upper)
-    draws = sample_rect_normal(m, s, lam, np.random.default_rng(14), size=1_000_000)
+    draws = sample_rect_normal(np.full(1_000_000, m), s, lam, np.random.default_rng(14))
     m1_err = abs(float(draws.mean()) - first)
     m2_err = abs(float((draws**2).mean()) - second)
     moments_ok = m1_err <= 0.005 and m2_err <= 0.005

@@ -2,20 +2,23 @@
 conjugate closed forms, distributional tests, and sweep invariants."""
 
 import math
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate, stats
 
+import gradefactor
 from gradefactor.bayes import (
     GibbsState,
     SpikeSlabHyperparams,
+    _initial_state,
     _resolve,
-    gibbs_sweep,
-    init_gibbs_state,
+    _sweep,
     posterior_point_estimates,
     rect_normal_logpdf,
     run_gibbs,
@@ -24,8 +27,6 @@ from gradefactor.bayes import (
     sample_truncnorm,
     step_covariance,
     step_difficulty,
-    step_inclusion,
-    step_rates,
     step_slack,
     step_weights,
 )
@@ -36,13 +37,13 @@ from gradefactor.synth import SynthConfig, generate_synthetic
 class TestTruncnorm:
     def test_standard_halfnormal_mean(self):
         rng = np.random.default_rng(0)
-        draws = sample_truncnorm(0.0, 1.0, "positive", rng, size=1_000_000)
+        draws = sample_truncnorm(np.full(1_000_000, 0.0), 1.0, "positive", rng)
         assert abs(draws.mean() - math.sqrt(2.0 / math.pi)) < 0.003
 
     def test_sign_constraints(self):
         rng = np.random.default_rng(1)
-        pos = sample_truncnorm(-1.0, 2.0, "positive", rng, size=10_000)
-        neg = sample_truncnorm(1.5, 0.5, "negative", rng, size=10_000)
+        pos = sample_truncnorm(np.full(10_000, -1.0), 2.0, "positive", rng)
+        neg = sample_truncnorm(np.full(10_000, 1.5), 0.5, "negative", rng)
         assert (pos > 0).all()
         assert (neg < 0).all()
 
@@ -51,7 +52,7 @@ class TestTruncnorm:
         alpha = 8.0
         expected = -8.0 + stats.norm.pdf(alpha) / stats.norm.sf(alpha)
         rng = np.random.default_rng(2)
-        draws = sample_truncnorm(-8.0, 1.0, "positive", rng, size=100_000)
+        draws = sample_truncnorm(np.full(100_000, -8.0), 1.0, "positive", rng)
         assert np.isfinite(draws).all()
         assert abs(draws.mean() - expected) / abs(expected) < 0.05
 
@@ -75,8 +76,8 @@ class TestRectNormal:
     def test_zero_tilt_matches_truncnorm(self):
         rng1 = np.random.default_rng(3)
         rng2 = np.random.default_rng(3)
-        a = sample_rect_normal(0.7, 1.3, 0.0, rng1, size=200_000)
-        b = sample_truncnorm(0.7, 1.3, "positive", rng2, size=200_000)
+        a = sample_rect_normal(np.full(200_000, 0.7), 1.3, 0.0, rng1)
+        b = sample_truncnorm(np.full(200_000, 0.7), 1.3, "positive", rng2)
         assert abs(a.mean() - b.mean()) < 0.01
         assert abs(a.var() - b.var()) < 0.01
 
@@ -99,7 +100,7 @@ class TestRectNormal:
             lambda x: x * x * math.exp(rect_normal_logpdf(x, m, s, lam)), 0.0, upper
         )
         rng = np.random.default_rng(4)
-        draws = sample_rect_normal(m, s, lam, rng, size=1_000_000)
+        draws = sample_rect_normal(np.full(1_000_000, m), s, lam, rng)
         assert abs(draws.mean() - first) < 0.005
         assert abs((draws**2).mean() - second) < 0.005
 
@@ -196,16 +197,17 @@ class TestWPosteriorStats:
 
 def make_state(data, K, seed):
     rng = np.random.default_rng(seed)
-    return init_gibbs_state(data, K, SpikeSlabHyperparams(), rng), rng
+    resolved = _resolve(SpikeSlabHyperparams(), K, data)
+    return _initial_state(data, K, resolved, rng), rng
 
 
 class TestSweepInvariants:
     def test_invariants_hold_over_sweeps(self):
         truth, data = generate_synthetic(SynthConfig(Q=8, N=6, K=2, p_obs=0.8, seed=7))
-        hyper = SpikeSlabHyperparams()
+        resolved = _resolve(SpikeSlabHyperparams(), 2, data)
         state, rng = make_state(data, 2, 8)
         for _ in range(100):
-            gibbs_sweep(state, data, hyper, rng)
+            _sweep(state, data, resolved, rng)
             state.validate(data)
 
     def test_slack_sign_consistency(self):
@@ -248,7 +250,7 @@ class TestStateValidation:
     def _swept_state(self):
         truth, data = generate_synthetic(SynthConfig(Q=6, N=5, K=2, p_obs=0.8, seed=29))
         state, rng = make_state(data, 2, 30)
-        gibbs_sweep(state, data, SpikeSlabHyperparams(), rng)
+        _sweep(state, data, _resolve(SpikeSlabHyperparams(), 2, data), rng)
         state.validate(data)
         return state, data
 
@@ -264,11 +266,12 @@ class TestStateValidation:
         # python -O strips assert statements; the checks must survive it
         script = textwrap.dedent("""
             import numpy as np
-            from gradefactor.bayes import SpikeSlabHyperparams, init_gibbs_state
+            from gradefactor.bayes import (SpikeSlabHyperparams, _initial_state,
+                                           _resolve)
             from gradefactor.synth import SynthConfig, generate_synthetic
             truth, data = generate_synthetic(SynthConfig(Q=6, N=5, K=2, seed=29))
-            state = init_gibbs_state(data, 2, SpikeSlabHyperparams(),
-                                     np.random.default_rng(30))
+            resolved = _resolve(SpikeSlabHyperparams(), 2, data)
+            state = _initial_state(data, 2, resolved, np.random.default_rng(30))
             state.W[0, 0] = -0.5
             try:
                 state.validate(data)
@@ -277,7 +280,12 @@ class TestStateValidation:
             else:
                 print("accepted")
         """)
-        proc = subprocess.run([sys.executable, "-O", "-c", script],
+        # the child does not inherit pytest's pythonpath setting: point it at
+        # the src directory of the package this test imported
+        src = str(Path(gradefactor.__file__).resolve().parents[1])
+        path = [src, os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("rejected:")
@@ -295,7 +303,7 @@ class TestHyperparams:
     def test_resolve_rejects_non_finite(self, field, value):
         hyper = SpikeSlabHyperparams(**{field: value})
         with pytest.raises(ValueError, match=field):
-            hyper.resolve(2)
+            _resolve(hyper, 2, ResponseMatrix(np.ones((1, 1))))
 
 
 class TestConjugateSteps:
@@ -335,53 +343,6 @@ class TestConjugateSteps:
         jittered = scale * (1.0 + 1e-10)
         oracle = (jittered / 2.0) / oracle_rng.gamma(df / 2.0, 1.0, size=10_000)
         assert stats.ks_2samp(draws, oracle).pvalue > 0.01
-
-
-class TestExchangeability:
-    def test_concept_relabel_commutes_with_weight_steps(self):
-        truth, data = generate_synthetic(SynthConfig(Q=7, N=6, K=3, p_obs=0.9, seed=19))
-        hyper = SpikeSlabHyperparams()
-        K = 3
-        state_a, rng = make_state(data, K, 20)
-        step_slack(state_a, data, rng)
-        resolved = _resolve(hyper, K, data)
-
-        perm = np.array([2, 0, 1])  # new position i holds old concept perm[i]
-        inv = np.argsort(perm)
-        state_b = GibbsState(
-            Z=state_a.Z.copy(),
-            W=state_a.W[:, perm].copy(),
-            C=state_a.C[perm, :].copy(),
-            mu=state_a.mu.copy(),
-            V=state_a.V[np.ix_(perm, perm)].copy(),
-            lam=state_a.lam[perm].copy(),
-            r=state_a.r[perm].copy(),
-            activity=state_a.activity[:, perm].copy(),
-        )
-
-        seeds = [101, 202, 303]
-        rngs_a = [np.random.default_rng(s) for s in seeds]
-        rngs_b = [np.random.default_rng(s) for s in seeds]
-        order_a = list(range(K))
-        order_b = [int(inv[k]) for k in order_a]
-
-        step_weights(state_a, data, None, order=order_a, rngs=rngs_a)
-        step_weights(state_b, data, None, order=order_b, rngs=rngs_b)
-        np.testing.assert_allclose(state_b.W, state_a.W[:, perm], atol=1e-12)
-        np.testing.assert_allclose(state_b.activity, state_a.activity[:, perm],
-                                   atol=1e-12)
-
-        rngs_a = [np.random.default_rng(s + 7) for s in seeds]
-        rngs_b = [np.random.default_rng(s + 7) for s in seeds]
-        step_rates(state_a, resolved, None, order=order_a, rngs=rngs_a)
-        step_rates(state_b, resolved, None, order=order_b, rngs=rngs_b)
-        np.testing.assert_allclose(state_b.lam, state_a.lam[perm], atol=1e-12)
-
-        rngs_a = [np.random.default_rng(s + 11) for s in seeds]
-        rngs_b = [np.random.default_rng(s + 11) for s in seeds]
-        step_inclusion(state_a, resolved, None, order=order_a, rngs=rngs_a)
-        step_inclusion(state_b, resolved, None, order=order_b, rngs=rngs_b)
-        np.testing.assert_allclose(state_b.r, state_a.r[perm], atol=1e-12)
 
 
 class TestScalarSpikeSlabSampler:
@@ -487,14 +448,14 @@ class TestChainPinned:
     def test_run_gibbs_equals_public_sweeps(self, p_obs):
         data = pinned_instance(p_obs)
         summary = run_gibbs(data, 3, burn_in=20, n_samples=20, rng=32)
-        hyper = SpikeSlabHyperparams()
         rng = np.random.default_rng(32)
-        state = init_gibbs_state(data, 3, hyper, rng)
+        resolved = _resolve(SpikeSlabHyperparams(), 3, data)
+        state = _initial_state(data, 3, resolved, rng)
         for _ in range(20):
-            gibbs_sweep(state, data, hyper, rng)
+            _sweep(state, data, resolved, rng)
         sums = {"W": 0.0, "C": 0.0, "mu": 0.0, "activity": 0.0}
         for _ in range(20):
-            gibbs_sweep(state, data, hyper, rng)
+            _sweep(state, data, resolved, rng)
             for name in sums:
                 sums[name] = sums[name] + getattr(state, name)
         np.testing.assert_array_equal(summary.w_mean, sums["W"] / 20.0)

@@ -254,6 +254,14 @@ class TestFit:
         (["--method", "bayes", "--threshold", "nan"], "expected a number in [0, 1]"),
         (["--method", "ksvd", "--ksvd-iters", "0"], "expected a positive integer"),
         (["--method", "ksvd", "--sparsity", "0"], "expected a positive integer"),
+        (["--link", "foo"], "invalid choice: 'foo'"),
+        (["--seed", "-1"], "expected a non-negative integer"),
+        (["--method", "bayes", "--seed", "-1"], "expected a non-negative integer"),
+        (["--method", "ksvd", "--sparsity", "1", "--seed", "-1"],
+         "expected a non-negative integer"),
+        # the test's --k is 2, below the default --sparsity 3
+        (["--method", "ksvd"], "--sparsity 3 exceeds --k 2"),
+        (["--method", "ksvd", "--sparsity", "4"], "--sparsity 4 exceeds --k 2"),
     ])
     def test_out_of_range_option_usage_error(self, sim_dir, tmp_path, capsys, option,
                                              message):

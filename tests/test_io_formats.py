@@ -1,6 +1,7 @@
-"""Response CSV and mask JSON contracts: what the reader accepts and
-rejects (word for word), and that writer and reader round-trip.  A
-cell-by-cell loop reader and writer serve as the reference."""
+"""Response CSV and JSON contracts: what the reader accepts and rejects
+(word for word), that writer and reader round-trip, and that the JSON
+writers give the bytes of json.dump.  A cell-by-cell loop reader and
+writer serve as the CSV reference."""
 
 import csv
 import json
@@ -9,11 +10,15 @@ import numpy as np
 import pytest
 
 from gradefactor.io_formats import (
+    file_sha256,
+    model_to_dict,
     read_response_csv,
+    write_manifest,
     write_mask_json,
+    write_model_json,
     write_response_csv,
 )
-from gradefactor.model import ResponseMatrix
+from gradefactor.model import FactorModel, ResponseMatrix
 
 
 def loop_read(path):
@@ -159,14 +164,39 @@ class TestRoundTrip:
         assert (got_qids, got_lids) == (want_qids, want_lids)
 
 
+def json_dump_bytes(path, payload, indent=None):
+    """Reference writer: json.dump with sorted keys, then a newline."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
+    return path.read_bytes()
+
+
 class TestMaskJson:
     @pytest.mark.parametrize("p_obs", [0.0, 0.3, 1.0])
     def test_bytes_equal_json_dump(self, tmp_path, p_obs):
-        data = random_matrix(np.random.default_rng(10), 8, 6, p_obs)
-        write_mask_json(tmp_path / "mask.json", data)
+        # the mask, model and manifest writers, each against json.dump
+        rng = np.random.default_rng(10)
+        data = random_matrix(rng, 8, 6, p_obs)
+        mask_path = tmp_path / "mask.json"
+        write_mask_json(mask_path, data)
         payload = {"n_observed": data.n_observed,
                    "pairs": [[int(i), int(j)] for i, j in np.argwhere(data.mask)]}
-        with open(tmp_path / "ref.json", "w") as fh:
-            json.dump(payload, fh, sort_keys=True)
-            fh.write("\n")
-        assert (tmp_path / "mask.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+        assert mask_path.read_bytes() == json_dump_bytes(tmp_path / "ref.json", payload)
+
+        W = np.where(data.mask[:, :3], rng.exponential(1.0, (8, 3)), 0.0)
+        model = FactorModel(W, rng.normal(size=(3, 6)), rng.normal(size=8))
+        extras = {"method": "ml", "trace": {"objectives": rng.normal(size=4).tolist()}}
+        model_path = tmp_path / "model.json"
+        write_model_json(model_path, model, extras)
+        assert model_path.read_bytes() == json_dump_bytes(
+            tmp_path / "ref.json", model_to_dict(model, extras), indent=1)
+
+        manifest_path = tmp_path / "model.json.manifest.json"
+        write_manifest(manifest_path, "fit", {"method": "ml", "k": 3}, 4,
+                       [mask_path], [model_path], 0.125)
+        manifest = {"command": "fit", "options": {"method": "ml", "k": 3}, "seed": 4,
+                    "inputs": {str(mask_path): file_sha256(mask_path)},
+                    "outputs": [str(model_path)], "elapsed_s": 0.125}
+        assert manifest_path.read_bytes() == json_dump_bytes(
+            tmp_path / "ref.json", manifest, indent=1)

@@ -5,13 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from gradefactor.links import LinkKind
+from gradefactor.links import LinkKind, inv_link
 from gradefactor.model import (
     Dimensions,
     FactorModel,
     ResponseMatrix,
     log_likelihood,
-    predict_prob,
     slack,
 )
 
@@ -33,11 +32,6 @@ class TestResponseMatrix:
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError):
             ResponseMatrix(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
-
-    def test_from_dense_nan(self):
-        data = ResponseMatrix.from_dense([[1.0, float("nan")], [0.0, 1.0]])
-        assert data.n_observed == 3
-        assert not data.mask[0, 1]
 
 
 class TestFactorModel:
@@ -136,23 +130,19 @@ class TestLogLikelihood:
 class TestPredictProb:
     def test_examples(self):
         model = FactorModel([[1.6448536]], [[1.0]], [0.0], LinkKind.PROBIT)
-        assert predict_prob(model, 0, 0) == pytest.approx(0.95, abs=1e-6)
+        assert inv_link(slack(model), model.link)[0, 0] == pytest.approx(0.95, abs=1e-6)
         model_log = FactorModel([[math.log(3.0)]], [[1.0]], [0.0], LinkKind.LOGIT)
-        assert predict_prob(model_log, 0, 0) == pytest.approx(0.75, abs=1e-12)
+        p_logit = inv_link(slack(model_log), model_log.link)[0, 0]
+        assert p_logit == pytest.approx(0.75, abs=1e-12)
         centered = FactorModel([[0.0]], [[1.0]], [0.0])
-        assert predict_prob(centered, 0, 0) == 0.5
-
-    def test_out_of_range(self):
-        model = FactorModel([[0.0]], [[1.0]], [0.0])
-        with pytest.raises(IndexError):
-            predict_prob(model, 1, 0)
+        assert inv_link(slack(centered), centered.link)[0, 0] == 0.5
 
     def test_zero_weights_learner_independent(self):
         rng = np.random.default_rng(7)
         model = FactorModel(np.zeros((3, 2)), rng.normal(size=(2, 6)), rng.normal(size=3))
+        probs = inv_link(slack(model), model.link)
         for i in range(3):
-            probs = {predict_prob(model, i, j) for j in range(6)}
-            assert len(probs) == 1
+            assert len(set(probs[i].tolist())) == 1
 
 
 def test_dimensions_warns_on_large_k():

@@ -116,7 +116,7 @@ class TestPercentages:
     def test_top_tags_shape(self):
         A = np.array([[0.46], [0.23], [0.21], [0.10]])
         names = ("freq", "rate", "alias", "misc")
-        out = top_tags(A, names, 0, top=3)
+        out = top_tags(A, names, 0)
         assert out == [("freq", pytest.approx(0.46)),
                        ("rate", pytest.approx(0.23)),
                        ("alias", pytest.approx(0.21))]
