@@ -2,10 +2,15 @@
 and run manifests.
 
 The response CSV has a header row of learner ids, question ids in the
-first column, 0/1 entries, and empty strings for unobserved cells.  The
-model JSON stores W as (question, concept, value) triplets so the sparse
-support is explicit.  Everything is serialized with sorted keys and
-repr-exact floats so rerunning a command with the same inputs writes
+first column, 0/1 entries, and empty strings for unobserved cells.  A
+plain response file (no quotes, no padded cells, one cell per learner on
+every row) is decoded in row blocks with numpy; every other file goes
+through csv.reader, which gives the same result on a plain file and
+raises the message for a malformed one.  Undecodable text and csv
+errors are raised as ValueError naming the file.  The model JSON stores
+W as (question, concept, value) triplets so the sparse support is
+explicit.  Everything is serialized with sorted keys and repr-exact
+floats so rerunning a command with the same inputs writes
 byte-identical files.
 """
 
@@ -13,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 from itertools import islice, repeat
 
@@ -36,6 +42,10 @@ def default_learner_ids(N):
 _CELL_CODE = {"": 0, "0": 1, "1": 2}
 _CODE_CELL = tuple(_CELL_CODE)
 _BAD_CELL = 3
+# bytes of one row block of the plain-file decoder, which bounds its
+# temporaries
+_BLOCK_BYTES = 1 << 20
+_COMMA, _LF, _CR = b",\n\r"
 
 
 def write_response_csv(path, data: ResponseMatrix, question_ids=None,
@@ -52,9 +62,36 @@ def write_response_csv(path, data: ResponseMatrix, question_ids=None,
 
 
 def read_response_csv(path):
-    """Returns (ResponseMatrix, question_ids, learner_ids)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Returns (ResponseMatrix, question_ids, learner_ids).
+
+    A file that `_decode_plain` does not take goes through `_decode_csv`.
+    Undecodable text and csv errors are raised as ValueError naming the
+    file.
+    """
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    plain = _decode_plain(text)
+    if plain is None:
+        learner_ids, question_ids, codes = _decode_csv(path, text)
+    else:
+        learner_ids, question_ids, codes = plain
+        _reject_duplicate(path, "learner", learner_ids)
+    _reject_duplicate(path, "question", question_ids)
+    data = ResponseMatrix(codes == _CELL_CODE["1"], codes != _CELL_CODE[""])
+    return data, question_ids, learner_ids
+
+
+def _decode_csv(path, text):
+    """(learner_ids, question_ids, codes) through csv.reader; raises at the
+    first malformed row."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not rows or len(rows[0]) < 2:
         raise ValueError(f"{path}: expected a header with at least one learner")
     learner_ids = rows[0][1:]
@@ -71,11 +108,77 @@ def read_response_csv(path):
         if _BAD_CELL in row_codes:
             row_codes = _padded_row_codes(path, lineno, row)
         codes += row_codes
-    _reject_duplicate(path, "question", question_ids)
     codes = np.frombuffer(codes, dtype=np.uint8).reshape(len(question_ids),
                                                          len(learner_ids))
-    data = ResponseMatrix(codes == _CELL_CODE["1"], codes != _CELL_CODE[""])
-    return data, question_ids, learner_ids
+    return learner_ids, question_ids, codes
+
+
+def _decode_plain(text):
+    """(learner_ids, question_ids, codes) of a plain file, else None.
+
+    A plain file has no quote or NUL, ends every line in LF or every line in
+    CRLF, has a header with at least one learner and at least one question
+    row, exactly one comma per learner on every row, every cell exactly
+    empty, 0 or 1, and no field longer than csv.field_size_limit() bytes.
+    The separators are ASCII, so they never occur inside a multi-byte
+    UTF-8 sequence.  Rows are decoded in blocks of about _BLOCK_BYTES, so
+    the only array with one element per cell is the code array.
+    """
+    # csv.reader before Python 3.11 rejects a NUL anywhere
+    if '"' in text or "\0" in text:
+        return None
+    raw = text.encode("utf-8")
+    eol = b"\r\n" if b"\r" in raw else b"\n"
+    if not raw.endswith(b"\n"):
+        raw += eol
+    n_lines = raw.count(b"\n")
+    # with as many CRs as LFs, a CR before every LF leaves no other CR
+    if eol == b"\r\n" and raw.count(b"\r") != n_lines:
+        return None
+    header_end = raw.index(b"\n") + 1
+    header = raw[:header_end]
+    if not header.endswith(eol):
+        return None
+    header = header[:-len(eol)].split(b",")
+    limit = csv.field_size_limit()
+    Q, N = n_lines - 1, len(header) - 1
+    if N < 1 or Q < 1 or max(map(len, header)) > limit:
+        return None
+    raw_array = np.frombuffer(raw, dtype=np.uint8)
+    codes = np.empty((Q, N), dtype=np.uint8)
+    question_ids = []
+    start = header_end
+    while start < len(raw):
+        # the block ends at the last LF in the window, or at the end of a
+        # row longer than the window
+        end = raw.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+        if end == 0:
+            end = raw.index(b"\n", start) + 1
+        block = raw_array[start:end]
+        newlines = np.flatnonzero(block == _LF)
+        if eol == b"\r\n" and (raw_array[start - 1 + newlines] != _CR).any():
+            return None
+        row_starts = np.concatenate(([0], newlines[:-1] + 1))
+        is_comma = block == _COMMA
+        if (np.add.reduceat(is_comma, row_starts, dtype=np.int32) != N).any():
+            return None
+        ids = [raw[s:raw.index(b",", s)] for s in (start + row_starts).tolist()]
+        if max(map(len, ids)) > limit:
+            return None
+        R = len(ids)
+        cells = codes[len(question_ids):len(question_ids) + R].reshape(-1)
+        # the byte after each comma: "0" and "1" become codes 1 and 2, and a
+        # separator (an empty cell) or any other byte becomes 0
+        np.subtract(block[1:][is_comma[:-1]], ord("0") - _CELL_CODE["0"], out=cells)
+        cells *= cells <= _CELL_CODE["1"]
+        # the cells hold this many bytes, which equals the count of
+        # non-empty cells only when every cell is empty, 0 or 1
+        cell_bytes = block.size - R * (len(eol) + N) - sum(map(len, ids))
+        if np.count_nonzero(cells) != cell_bytes:
+            return None
+        question_ids += [ident.decode("utf-8") for ident in ids]
+        start = end
+    return [ident.decode("utf-8") for ident in header[1:]], question_ids, codes
 
 
 def _padded_row_codes(path, lineno, row):

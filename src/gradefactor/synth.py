@@ -10,6 +10,7 @@ i.i.d. uniform at the requested rate.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +28,8 @@ class SynthConfig:
     lo, hi) draws the nonzero count uniformly on {lo..hi} and places it
     at random, while ("bernoulli", q) activates each entry independently.
     The default is uniform on {1..min(3, K)}.  lambda_k is the
-    exponential rate of active weights (mean 1/lambda_k).
+    exponential rate of active weights (mean 1/lambda_k).  seed must be
+    a non-negative integer, as numpy's generators require.
     """
 
     Q: int
@@ -49,6 +51,8 @@ class SynthConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError("seed must be a non-negative integer")
         if self.nnz_mode is None:
             self.nnz_mode = ("uniform", 1, min(3, self.K))
         mode = self.nnz_mode[0]

@@ -82,6 +82,14 @@ class TestSimulate:
                      str(tmp_path / "x")]) == 2
         assert "bad nnz spec" in capsys.readouterr().err
 
+    def test_negative_seed_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("q = 5\nn = 5\nk = 2\nseed = -1\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative integer\n"
+
     def test_default_support_fits_small_k(self, tmp_path):
         # no nnz line: the generator's own default, uniform on {1..min(3, K)}
         cfg = tmp_path / "k2.cfg"
@@ -157,6 +165,20 @@ class TestFit:
         rc = main(["fit", "--method", "ml", "--data", str(bad),
                    "--out", str(tmp_path / "x.json"), "--k", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("content,message", [
+        (b"question_id,l1\n" + b"q" * 131073 + b",1\n",
+         ":2: field larger than field limit (131072)"),
+        (b"question_id,l1\nq1,\xff\n",
+         ": 'utf-8' codec can't decode byte 0xff in position 18"),
+    ])
+    def test_unreadable_csv_data_error(self, tmp_path, capsys, content, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        rc = main(["fit", "--method", "ml", "--data", str(bad),
+                   "--out", str(tmp_path / "x.json"), "--k", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}{message}")
 
     def test_lambda_grid_bic(self, sim_dir, tmp_path):
         out = tmp_path / "bic.json"

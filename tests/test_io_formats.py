@@ -1,7 +1,8 @@
 """Response CSV and JSON contracts: what the reader accepts and rejects
-(word for word), that writer and reader round-trip, and that the JSON
-writers give the bytes of json.dump.  A cell-by-cell loop reader and
-writer serve as the CSV reference."""
+(word for word), that writer and reader round-trip, that the plain-file
+decoder agrees with the csv.reader path, and that the JSON writers give
+the bytes of json.dump.  A cell-by-cell loop reader and writer serve as
+the CSV reference."""
 
 import csv
 import json
@@ -9,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from gradefactor import io_formats
 from gradefactor.io_formats import (
     file_sha256,
     model_to_dict,
@@ -162,6 +164,143 @@ class TestRoundTrip:
         assert np.array_equal(got.entries, want.entries)
         assert np.array_equal(got.mask, want.mask)
         assert (got_qids, got_lids) == (want_qids, want_lids)
+
+
+def outcome(path):
+    """What read_response_csv gives: the arrays and ids, or the message."""
+    try:
+        data, question_ids, learner_ids = read_response_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return data.entries.tolist(), data.mask.tolist(), question_ids, learner_ids
+
+
+def csv_path_outcome(path, monkeypatch):
+    """outcome() with the plain-file decoder turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(io_formats, "_decode_plain", lambda text: None)
+        return outcome(path)
+
+
+# id characters: spaces, tabs, digits and non-ASCII letters
+ID_CHARS = list("ab z\t09é中ßω")
+
+
+def random_ids(rng, n):
+    ids = []
+    while len(ids) < n:
+        ident = "".join(rng.choice(ID_CHARS, size=rng.integers(0, 6)))
+        if ident not in ids:
+            ids.append(ident)
+    return ids
+
+
+def random_plain_text(rng, Q, N, p_obs, eol, final_eol):
+    cells = np.where(rng.random((Q, N)) < p_obs,
+                     np.where(rng.random((Q, N)) < 0.5, "1", "0"), "")
+    lines = [",".join(["question_id", *random_ids(rng, N)])]
+    lines += [",".join([qid, *row]) for qid, row in zip(random_ids(rng, Q), cells)]
+    return eol.join(lines) + (eol if final_eol else "")
+
+
+class TestPlainDecoder:
+    @pytest.mark.parametrize("block_bytes", [7, 64, io_formats._BLOCK_BYTES])
+    @pytest.mark.parametrize("final_eol", [True, False])
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    @pytest.mark.parametrize("p_obs", [0.0, 0.1, 1.0])
+    def test_equals_csv_path(self, tmp_path, monkeypatch, p_obs, eol, final_eol,
+                             block_bytes):
+        # blocks of 7 bytes hold no whole row, so every block is one long row
+        monkeypatch.setattr(io_formats, "_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng([int(p_obs * 10), len(eol), final_eol, block_bytes])
+        shapes = [(1, 1), (40, 40)] + [tuple(rng.integers(1, 41, size=2)) for _ in range(4)]
+        for Q, N in shapes:
+            text = random_plain_text(rng, Q, N, p_obs, eol, final_eol)
+            path = write_text(tmp_path, text)
+            plain = io_formats._decode_plain(text)
+            assert plain is not None
+            learner_ids, question_ids, codes = io_formats._decode_csv(path, text)
+            assert plain[:2] == (learner_ids, question_ids)
+            assert plain[2].dtype == codes.dtype and np.array_equal(plain[2], codes)
+            assert outcome(path) == csv_path_outcome(path, monkeypatch)
+
+    @pytest.mark.parametrize("text", [
+        'question_id,"a",b\nq1,1,0\n',                       # a quote
+        "question_id,a,b\rq1,1,0\n",                         # a lone CR
+        "question_id,a,b\r\nq1,1,0\nq2,0,1\r\n",             # an LF row in a CRLF file
+        "question_id,a,b\r\nq1,1,0\r\nq\r2,0,1\n",           # a CR in an id, CRs = LFs
+        "question_id,a,b\r\nq1,\r,1\n",                      # a CR as a cell, CRs = LFs
+        "question_id,a,bb\nq\r1,1,1\r\n",                    # an LF header, CRs = LFs
+        "question_id,a,b\nq1, 1,0\n",                        # a padded cell
+        "question_id,a,b\nq1,1,0\n\nq3,0,1\n",               # a blank line
+        "question_id,a,b\nq1,1,0\nq2,0\n",                   # a ragged row
+        "question_id,a,b\nq1,1,0,\n",                        # one cell too many
+        "question_id,a,b\nq1,1\nq2,0,1,1\n",                 # short, then long
+        "question_id,a,b\n",                                 # the header only
+        "",                                                  # an empty file
+        "question_id\nq1\n",                                 # no learner
+        "question_id,a,b\nq1,1,2\n",                         # a 2
+        "question_id,a,b\nq1,1,\x00\n",                      # a NUL
+        "question_id,a,b\nq\x001,1,0\n",                     # a NUL in an id
+        "question_id,a,b\nq1,10,1\n",                        # a two-byte cell
+        "question_id,a,b\nq1,/,1\n",                         # the byte before 0
+        f"question_id,a,b\n{'q' * 131073},1,0\n",            # an id over the limit
+        f"question_id,{'a' * 131073},b\nq1,1,0\n",           # a learner over the limit
+    ])
+    def test_hands_over_to_csv_path(self, tmp_path, monkeypatch, text):
+        path = write_text(tmp_path, text)
+        assert io_formats._decode_plain(text) is None
+        assert outcome(path) == csv_path_outcome(path, monkeypatch)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_id_at_the_field_limit_stays_plain(self, tmp_path, monkeypatch, eol):
+        qid = "q" * csv.field_size_limit()
+        text = f"question_id,a{eol}{qid},1{eol}"
+        path = write_text(tmp_path, text)
+        assert io_formats._decode_plain(text) is not None
+        assert outcome(path) == csv_path_outcome(path, monkeypatch)
+        assert outcome(path)[2] == [qid]
+
+    @pytest.mark.parametrize("text,kind,ident", [
+        ("question_id,l1,l2,l1\nq1,1,0,1\nq1,0,0,1\n", "learner", "l1"),
+        ("question_id,l1,l2\nq1,1,0\nq2,0,1\nq1,0,0\n", "question", "q1"),
+    ])
+    def test_duplicate_ids_same_message(self, tmp_path, monkeypatch, text, kind, ident):
+        path = write_text(tmp_path, text)
+        assert io_formats._decode_plain(text) is not None
+        assert outcome(path) == f"{path}: duplicate {kind} id '{ident}'"
+        assert outcome(path) == csv_path_outcome(path, monkeypatch)
+
+    def test_plain_file_never_reaches_csv_reader(self, tmp_path, monkeypatch):
+        data = random_matrix(np.random.default_rng(11), 30, 20, 0.3)
+        write_response_csv(tmp_path / "crlf.csv", data)
+        lf = tmp_path / "lf.csv"
+        lf.write_bytes((tmp_path / "crlf.csv").read_bytes().replace(b"\r\n", b"\n"))
+
+        def no_reader(*args, **kwargs):
+            raise AssertionError("csv.reader called on a plain file")
+
+        monkeypatch.setattr(io_formats.csv, "reader", no_reader)
+        for path in (tmp_path / "crlf.csv", lf):
+            back, _, _ = read_response_csv(path)
+            assert np.array_equal(back.entries, data.entries)
+            assert np.array_equal(back.mask, data.mask)
+
+
+class TestReadErrors:
+    def test_oversized_field_names_path_and_line(self, tmp_path):
+        path = write_text(tmp_path, f"question_id,a\nq1,1\n{'q' * 131073},0\n")
+        with pytest.raises(ValueError) as caught:
+            read_response_csv(path)
+        assert str(caught.value) == f"{path}:3: field larger than field limit (131072)"
+
+    def test_undecodable_byte_names_path(self, tmp_path):
+        path = tmp_path / "responses.csv"
+        path.write_bytes(b"question_id,a\nq1,\xff\n")
+        with pytest.raises(ValueError) as caught:
+            read_response_csv(path)
+        assert str(caught.value).startswith(
+            f"{path}: 'utf-8' codec can't decode byte 0xff in position 17")
 
 
 def json_dump_bytes(path, payload, indent=None):

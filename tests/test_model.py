@@ -29,6 +29,18 @@ class TestResponseMatrix:
         assert data.entries[0, 1] == 0.0
         assert data.n_observed == 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.0, -1.0])
+    def test_rejects_bad_value_at_observed_cell(self, value):
+        with pytest.raises(ValueError, match="observed entries must be 0 or 1"):
+            ResponseMatrix([[1.0, value]], [[True, True]])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0])
+    def test_accepts_any_value_at_unobserved_cell(self, value):
+        entries = np.array([[1.0, value]])
+        data = ResponseMatrix(entries, [[True, False]])
+        assert data.entries.tolist() == [[1.0, 0.0]]
+        assert np.array_equal(entries, [[1.0, value]], equal_nan=True)
+
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError):
             ResponseMatrix(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))

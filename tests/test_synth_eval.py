@@ -62,6 +62,11 @@ class TestGenerator:
         with pytest.raises(ValueError, match=field):
             SynthConfig(Q=2, N=2, K=1, **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            SynthConfig(Q=2, N=2, K=1, seed=seed)
+
 
 class TestMatchPermutation:
     def test_identity(self):
