@@ -5,6 +5,11 @@ with the ml / bayes / ksvd methods), graph (DOT rendering of the
 question-concept map), eval (error metrics, held-out prediction, tag
 reports).  Every command writes a .manifest.json run record next to its
 outputs.  Exit codes: 0 success, 1 usage error, 2 data error.
+
+Each cmd_* returns (manifest path, options, seed, inputs, outputs), and
+`main` writes the run record from it.  `main` is also the one place that
+maps errors: a ValueError or OSError from a command is a data error, and
+the readers name the file in its message.
 """
 
 from __future__ import annotations
@@ -28,10 +33,6 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 
-class DataError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -43,7 +44,7 @@ def _parse_link(text):
     try:
         return LinkKind(text)
     except ValueError:
-        raise DataError(f"unknown link {text!r}; use 'probit' or 'logit'")
+        raise ValueError(f"unknown link {text!r}; use 'probit' or 'logit'") from None
 
 
 def _finite_number(text):
@@ -118,16 +119,12 @@ def _non_negative_int(text):
 def read_config_file(path):
     """Plain key=value configuration, '#' comments allowed."""
     options = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise DataError(f"cannot read config file: {exc}")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(io_formats.read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
         options[key.strip().lower()] = value.strip()
     return options
@@ -136,7 +133,7 @@ def read_config_file(path):
 def _synth_config_from_options(options):
     def need(key):
         if key not in options:
-            raise DataError(f"config is missing required key {key!r}")
+            raise ValueError(f"config is missing required key {key!r}")
         return options[key]
 
     nnz_raw = options.get("nnz", "").split()
@@ -150,25 +147,25 @@ def _synth_config_from_options(options):
         else:
             raise ValueError
     except ValueError:
-        raise DataError(f"bad nnz spec {options['nnz']!r}") from None
-    try:
-        return SynthConfig(
-            Q=int(need("q")),
-            N=int(need("n")),
-            K=int(need("k")),
-            nnz_mode=nnz_mode,
-            lambda_k=float(options.get("lambda_k", 2.0 / 3.0)),
-            v_mu=float(options.get("v_mu", 1.0)),
-            p_obs=float(options.get("p_obs", 1.0)),
-            link=_parse_link(options.get("link", "probit")),
-            seed=int(options.get("seed", 0)),
-        )
-    except ValueError as exc:
-        raise DataError(str(exc))
+        raise ValueError(f"bad nnz spec {options['nnz']!r}") from None
+    return SynthConfig(
+        Q=int(need("q")),
+        N=int(need("n")),
+        K=int(need("k")),
+        nnz_mode=nnz_mode,
+        lambda_k=float(options.get("lambda_k", 2.0 / 3.0)),
+        v_mu=float(options.get("v_mu", 1.0)),
+        p_obs=float(options.get("p_obs", 1.0)),
+        link=_parse_link(options.get("link", "probit")),
+        seed=int(options.get("seed", 0)),
+    )
+
+
+def _manifest_path(out):
+    return out.with_suffix(out.suffix + ".manifest.json")
 
 
 def cmd_simulate(args):
-    started = time.perf_counter()
     config = _synth_config_from_options(read_config_file(args.config))
     truth, data = generate_synthetic(config)
     out_dir = Path(args.out_dir)
@@ -179,26 +176,9 @@ def cmd_simulate(args):
     io_formats.write_response_csv(responses, data)
     io_formats.write_model_json(truth_path, truth)
     io_formats.write_mask_json(mask_path, data)
-    io_formats.write_manifest(
-        out_dir / f"{args.prefix}.manifest.json",
-        "simulate",
-        {"config": str(args.config), "prefix": args.prefix},
-        config.seed,
-        [args.config],
-        [responses, truth_path, mask_path],
-        time.perf_counter() - started,
-    )
-    print(f"wrote {responses}, {truth_path}, {mask_path}")
-    return 0
-
-
-def _load_data(path):
-    try:
-        return io_formats.read_response_csv(path)
-    except OSError as exc:
-        raise DataError(f"cannot read responses: {exc}")
-    except ValueError as exc:
-        raise DataError(str(exc))
+    return (out_dir / f"{args.prefix}.manifest.json",
+            {"config": str(args.config), "prefix": args.prefix}, config.seed,
+            [args.config], [responses, truth_path, mask_path])
 
 
 def _fit_ml(args, data):
@@ -270,49 +250,30 @@ def _fit_ksvd(args, data):
 
 
 def cmd_fit(args):
-    started = time.perf_counter()
-    data, question_ids, learner_ids = _load_data(args.data)
-    try:
-        if args.method == "ml":
-            model, extras = _fit_ml(args, data)
-        elif args.method == "bayes":
-            model, extras = _fit_bayes(args, data)
-        else:
-            model, extras = _fit_ksvd(args, data)
-    except ValueError as exc:
-        raise DataError(str(exc))
+    data, question_ids, learner_ids = io_formats.read_response_csv(args.data)
+    if args.method == "ml":
+        model, extras = _fit_ml(args, data)
+    elif args.method == "bayes":
+        model, extras = _fit_bayes(args, data)
+    else:
+        model, extras = _fit_ksvd(args, data)
     extras["question_ids"] = question_ids
     extras["learner_ids"] = learner_ids
     out = Path(args.out)
     io_formats.write_model_json(out, model, extras)
-    io_formats.write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "fit",
-        {"method": args.method, "data": str(args.data), "k": args.k},
-        args.seed,
-        [args.data],
-        [out],
-        time.perf_counter() - started,
-    )
-    print(f"wrote {out}")
-    return 0
+    return (_manifest_path(out),
+            {"method": args.method, "data": str(args.data), "k": args.k},
+            args.seed, [args.data], [out])
 
 
 def cmd_graph(args):
-    started = time.perf_counter()
-    try:
-        model, payload = io_formats.read_model_json(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        raise DataError(f"cannot read model: {exc}")
+    model, payload = io_formats.read_model_json(args.model)
     question_ids = payload.get("question_ids")
     concept_labels = None
     if args.tags:
-        try:
-            qids = question_ids or io_formats.default_question_ids(model.Q)
-            tag_matrix = tags.read_tags_csv(args.tags, qids)
-            A = tags.fit_tag_map(model.W, tag_matrix)
-        except (OSError, ValueError) as exc:
-            raise DataError(str(exc))
+        qids = question_ids or io_formats.default_question_ids(model.Q)
+        tag_matrix = tags.read_tags_csv(args.tags, qids)
+        A = tags.fit_tag_map(model.W, tag_matrix)
         concept_labels = []
         for k in range(model.K):
             parts = [f"{name} ({share:.0%})" for name, share in
@@ -322,36 +283,21 @@ def cmd_graph(args):
     out = Path(args.out)
     out.write_text(dot)
     inputs = [args.model] + ([args.tags] if args.tags else [])
-    io_formats.write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "graph",
-        {"model": str(args.model), "tags": str(args.tags) if args.tags else None},
-        None,
-        inputs,
-        [out],
-        time.perf_counter() - started,
-    )
-    print(f"wrote {out}")
-    return 0
+    return (_manifest_path(out),
+            {"model": str(args.model), "tags": str(args.tags) if args.tags else None},
+            None, inputs, [out])
 
 
 def cmd_eval(args):
-    started = time.perf_counter()
-    try:
-        model, payload = io_formats.read_model_json(args.model)
-    except (OSError, ValueError, KeyError) as exc:
-        raise DataError(f"cannot read model: {exc}")
+    model, payload = io_formats.read_model_json(args.model)
     report = {}
     csv_rows = []
     trial = args.trial
     method = args.method_name or payload.get("method", "model")
 
     if args.truth:
-        try:
-            truth, _ = io_formats.read_model_json(args.truth)
-            metrics = evaluate.eval_metrics(truth, model)
-        except (OSError, ValueError, KeyError) as exc:
-            raise DataError(str(exc))
+        truth, _ = io_formats.read_model_json(args.truth)
+        metrics = evaluate.eval_metrics(truth, model)
         report["metrics"] = {
             "e_w": metrics.e_w,
             "e_c": metrics.e_c,
@@ -364,17 +310,14 @@ def cmd_eval(args):
 
     if args.holdout:
         if not args.train:
-            raise DataError("--holdout requires --train to check disjointness")
-        holdout, _, _ = _load_data(args.holdout)
-        train, _, _ = _load_data(args.train)
+            raise ValueError("--holdout requires --train to check disjointness")
+        holdout, _, _ = io_formats.read_response_csv(args.holdout)
+        train, _, _ = io_formats.read_response_csv(args.train)
         if holdout.mask.shape != train.mask.shape:
-            raise DataError("held-out and training matrices differ in shape")
+            raise ValueError("held-out and training matrices differ in shape")
         if (holdout.mask & train.mask).any():
-            raise DataError("held-out entries overlap the training mask")
-        try:
-            accuracy, likelihood = evaluate.predict_heldout(model, holdout)
-        except ValueError as exc:
-            raise DataError(str(exc))
+            raise ValueError("held-out entries overlap the training mask")
+        accuracy, likelihood = evaluate.predict_heldout(model, holdout)
         report["prediction"] = {
             "accuracy": accuracy,
             "avg_likelihood": likelihood,
@@ -386,10 +329,7 @@ def cmd_eval(args):
     if args.tags:
         qids = payload.get("question_ids") or io_formats.default_question_ids(model.Q)
         lids = payload.get("learner_ids") or io_formats.default_learner_ids(model.N)
-        try:
-            tag_matrix = tags.read_tags_csv(args.tags, qids)
-        except (OSError, ValueError) as exc:
-            raise DataError(str(exc))
+        tag_matrix = tags.read_tags_csv(args.tags, qids)
         A = tags.fit_tag_map(model.W, tag_matrix)
         U = tags.learner_tag_knowledge(A, model.C)
         report["concept_tags"] = {
@@ -407,7 +347,7 @@ def cmd_eval(args):
         }
 
     if not report:
-        raise DataError("nothing to evaluate: pass --truth, --holdout or --tags")
+        raise ValueError("nothing to evaluate: pass --truth, --holdout or --tags")
 
     out = Path(args.out)
     io_formats.write_json(out, report)
@@ -416,17 +356,7 @@ def cmd_eval(args):
     inputs = [p for p in (args.model, args.truth, args.holdout, args.train,
                           args.tags) if p]
     outputs = [out] + ([Path(args.csv)] if args.csv else [])
-    io_formats.write_manifest(
-        out.with_suffix(out.suffix + ".manifest.json"),
-        "eval",
-        {"model": str(args.model)},
-        None,
-        inputs,
-        outputs,
-        time.perf_counter() - started,
-    )
-    print(f"wrote {out}")
-    return 0
+    return _manifest_path(out), {"model": str(args.model)}, None, inputs, outputs
 
 
 def build_parser():
@@ -498,14 +428,16 @@ def main(argv=None):
                          "question cannot use more concepts than the model has")
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
+    started = time.perf_counter()
     try:
-        return args.func(args)
-    except DataError as exc:
+        manifest, options, seed, inputs, outputs = args.func(args)
+        io_formats.write_manifest(manifest, args.command, options, seed, inputs,
+                                  outputs, time.perf_counter() - started)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return DATA_ERROR
+    print(f"wrote {', '.join(map(str, outputs))}")
+    return 0
 
 
 if __name__ == "__main__":

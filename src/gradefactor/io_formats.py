@@ -6,11 +6,11 @@ first column, 0/1 entries, and empty strings for unobserved cells.  A
 plain response file (no quotes, no padded cells, one cell per learner on
 every row) is decoded in row blocks with numpy; every other file goes
 through csv.reader, which gives the same result on a plain file and
-raises the message for a malformed one.  Undecodable text and csv
-errors are raised as ValueError naming the file.  The model JSON stores
-W as (question, concept, value) triplets so the sparse support is
-explicit.  Everything is serialized with sorted keys and repr-exact
-floats so rerunning a command with the same inputs writes
+raises the message for a malformed one.  Every reader raises a malformed
+file, undecodable text included, as ValueError naming the file.  The
+model JSON stores W as (question, concept, value) triplets so the sparse
+support is explicit.  Everything is serialized with sorted keys and
+repr-exact floats so rerunning a command with the same inputs writes
 byte-identical files.
 """
 
@@ -61,18 +61,32 @@ def write_response_csv(path, data: ResponseMatrix, question_ids=None,
             writer.writerow([qid, *map(_CODE_CELL.__getitem__, row.tolist())])
 
 
+def read_text(path):
+    """The text of the file at path, line endings kept; undecodable bytes
+    raise ValueError naming the file."""
+    try:
+        with open(path, newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def csv_rows(path, text):
+    """The rows of text read from path as CSV; a csv error raises
+    ValueError naming the file and line."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+
+
 def read_response_csv(path):
     """Returns (ResponseMatrix, question_ids, learner_ids).
 
     A file that `_decode_plain` does not take goes through `_decode_csv`.
-    Undecodable text and csv errors are raised as ValueError naming the
-    file.
     """
-    try:
-        with open(path, newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    text = read_text(path)
     plain = _decode_plain(text)
     if plain is None:
         learner_ids, question_ids, codes = _decode_csv(path, text)
@@ -87,11 +101,7 @@ def read_response_csv(path):
 def _decode_csv(path, text):
     """(learner_ids, question_ids, codes) through csv.reader; raises at the
     first malformed row."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    rows = csv_rows(path, text)
     if not rows or len(rows[0]) < 2:
         raise ValueError(f"{path}: expected a header with at least one learner")
     learner_ids = rows[0][1:]
@@ -238,19 +248,38 @@ def write_model_json(path, model: FactorModel, extras=None):
 
 
 def read_model_json(path):
-    """Returns (FactorModel, full payload dict)."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    Q, N, K = payload["Q"], payload["N"], payload["K"]
-    W = np.zeros((Q, K))
-    for i, k, value in payload["W"]:
-        if not (type(i) is int and type(k) is int and 0 <= i < Q and 0 <= k < K):
-            raise ValueError(f"W triplet index ({i!r}, {k!r}) is not an integer or "
-                             f"is out of range for Q={Q}, K={K}")
-        W[i, k] = value
-    C = np.asarray(payload["C"], dtype=float)
-    mu = np.asarray(payload["mu"], dtype=float)
-    model = FactorModel(W, C, mu, LinkKind(payload["link"]))
+    """Returns (FactorModel, full payload dict).
+
+    Text that is not JSON or nests too deeply, a missing key, a value of
+    the wrong type or shape, and an unknown link raise ValueError naming
+    the file.
+    """
+    text = read_text(path)
+    try:
+        payload = json.loads(text)
+        Q, N, K = payload["Q"], payload["N"], payload["K"]
+        C = np.asarray(payload["C"], dtype=float)
+        mu = np.asarray(payload["mu"], dtype=float)
+        # checked before W is allocated, so a stated size cannot exceed the file
+        if C.shape != (K, N) or mu.shape != (Q,):
+            raise ValueError(f"Q={Q!r}, N={N!r}, K={K!r} do not match C of shape "
+                             f"{C.shape} and mu of shape {mu.shape}")
+        for key, size in (("question_ids", Q), ("learner_ids", N)):
+            ids = payload.get(key)
+            if ids is not None and not (type(ids) is list and len(ids) == size
+                                        and all(type(x) is str for x in ids)):
+                raise ValueError(f"{key} is not a list of {size} strings")
+        W = np.zeros((Q, K))
+        for i, k, value in payload["W"]:
+            if not (type(i) is int and type(k) is int and 0 <= i < Q and 0 <= k < K):
+                raise ValueError(f"W triplet index ({i!r}, {k!r}) is not an integer "
+                                 f"or is out of range for Q={Q}, K={K}")
+            W[i, k] = value
+        model = FactorModel(W, C, mu, LinkKind(payload["link"]))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return model, payload
 
 

@@ -9,10 +9,11 @@ learner tag-knowledge matrix U = A C.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import io_formats
 
 _KKT_TOL = 1e-8
 _MAX_ITERS = 200_000
@@ -183,18 +184,17 @@ def read_tags_csv(path, question_ids):
     """
     index = {str(q): i for i, q in enumerate(question_ids)}
     pairs = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().startswith("#"):
-                continue
-            if len(row) < 2:
-                raise ValueError(f"malformed tag row: {row!r}")
-            qid, tag = row[0].strip(), row[1].strip()
-            if qid in ("question_id", "question"):  # optional header
-                continue
-            if qid not in index:
-                raise ValueError(f"unknown question id in tag file: {qid!r}")
-            pairs.append((index[qid], tag))
+    for row in io_formats.csv_rows(path, io_formats.read_text(path)):
+        if not row or row[0].strip().startswith("#"):
+            continue
+        if len(row) < 2:
+            raise ValueError(f"{path}: malformed tag row: {row!r}")
+        qid, tag = row[0].strip(), row[1].strip()
+        if qid in ("question_id", "question"):  # optional header
+            continue
+        if qid not in index:
+            raise ValueError(f"{path}: unknown question id {qid!r}")
+        pairs.append((index[qid], tag))
     names = sorted({tag for _, tag in pairs})
     pos = {t: m for m, t in enumerate(names)}
     T = np.zeros((len(question_ids), len(names)))

@@ -1,5 +1,6 @@
 """End-to-end command checks: file formats, determinism, exit codes."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -89,6 +90,14 @@ class TestSimulate:
                      str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err == "error: seed must be a non-negative integer\n"
+
+    def test_undecodable_config_data_error(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"q = 5\nn = 5\nk = 2\n# \xff\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
 
     def test_default_support_fits_small_k(self, tmp_path):
         # no nnz line: the generator's own default, uniform on {1..min(3, K)}
@@ -359,6 +368,26 @@ class TestModelJsonIndices:
         rc = main(["graph", "--model", str(path), "--out", str(tmp_path / "g.dot")])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["graph", "eval"])
+    @pytest.mark.parametrize("edit", [
+        {"W": 5}, {"Q": "3"}, {"Q": 10**12}, {"link": "cauchy"},
+        {"question_ids": ["q1"]}, {"Q": None}, "{", "[" * 100000,
+    ], ids=["W-int", "Q-str", "Q-huge", "unknown-link", "short-ids", "no-Q",
+            "not-JSON", "deep-JSON"])
+    def test_malformed_model_data_error(self, tmp_path, capsys, command, edit):
+        """A dict edit updates the payload (None drops the key); a string
+        replaces the whole file."""
+        path = tmp_path / "m.json"
+        self.write_model(path, [0, 0, 0.5])
+        if isinstance(edit, dict):
+            payload = {**json.loads(path.read_text()), **edit}
+            edit = json.dumps({k: v for k, v in payload.items() if v is not None})
+        path.write_text(edit)
+        rc = main([command, "--model", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "Traceback" not in err
+
 
 class TestGraph:
     def test_zero_weights_graph_has_all_questions_no_edges(self, tmp_path):
@@ -466,6 +495,61 @@ class TestEval:
         rc = main(["eval", "--model", str(sim_dir / "synth_truth.json"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
+
+
+@pytest.mark.parametrize("command", ["graph", "eval"])
+@pytest.mark.parametrize("content,message", [
+    (b"q1," + b"t" * 131073 + b"\n", ":1: field larger than field limit (131072)"),
+    (b"q1,\xff\n", ": 'utf-8' codec can't decode byte 0xff in position 3"),
+], ids=["oversized-field", "non-utf8"])
+def test_unreadable_tags_data_error(sim_dir, tmp_path, capsys, command, content,
+                                    message):
+    bad = tmp_path / "tags.csv"
+    bad.write_bytes(content)
+    rc = main([command, "--model", str(sim_dir / "synth_truth.json"),
+               "--tags", str(bad), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}{message}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "graph", "eval"])
+def test_run_record(sim_dir, tmp_path, capsys, command):
+    """A run writes its manifest next to its outputs and names every output
+    once on stdout; a run that exits 2 writes no manifest."""
+    cfg, responses = tmp_path / "sim.cfg", sim_dir / "synth_responses.csv"
+    truth, tags_path = sim_dir / "synth_truth.json", tmp_path / "tags.csv"
+    tags_path.write_text("q1,algebra\nq2,geometry\n")
+    new = tmp_path / "new"
+    argv, seed, inputs, outputs, manifest = {
+        "simulate": (["--config", cfg, "--out-dir", new], 11, [cfg],
+                     [new / "synth_responses.csv", new / "synth_truth.json",
+                      new / "synth_mask.json"], new / "synth.manifest.json"),
+        "fit": (["--method", "ksvd", "--data", responses, "--out", new / "m.json",
+                 "--k", "2", "--sparsity", "1", "--seed", "5"], 5, [responses],
+                [new / "m.json"], new / "m.json.manifest.json"),
+        "graph": (["--model", truth, "--tags", tags_path, "--out", new / "g.dot"],
+                  None, [truth, tags_path], [new / "g.dot"],
+                  new / "g.dot.manifest.json"),
+        "eval": (["--model", truth, "--tags", tags_path, "--out", new / "r.json",
+                  "--csv", new / "r.csv"], None, [truth, tags_path],
+                 [new / "r.json", new / "r.csv"], new / "r.json.manifest.json"),
+    }[command]
+    new.mkdir()
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    assert main([command, *(str(bad if a == inputs[0] else a) for a in argv)]) == 2
+    assert not manifest.exists()
+    capsys.readouterr()
+
+    assert main([command, *map(str, argv)]) == 0
+    assert capsys.readouterr().out == f"wrote {', '.join(map(str, outputs))}\n"
+    record = json.loads(manifest.read_text())
+    assert record["command"] == command
+    assert record["seed"] == seed
+    assert record["inputs"] == {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}
+    assert record["outputs"] == [str(p) for p in outputs]
+    assert all(p.exists() for p in outputs) and record["elapsed_s"] >= 0
 
 
 def test_missing_subcommand_is_usage_error():
