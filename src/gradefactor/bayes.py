@@ -96,7 +96,7 @@ class GibbsState:
                 raise ValueError("Z signs must match the observed responses")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PosteriorSummary:
     """Per-entry posterior means/variances plus mean activity probabilities."""
 

@@ -130,35 +130,40 @@ def read_config_file(path):
     return options
 
 
-def _synth_config_from_options(options):
-    def need(key):
-        if key not in options:
-            raise ValueError(f"config is missing required key {key!r}")
-        return options[key]
-
-    nnz_raw = options.get("nnz", "").split()
+def _nnz_mode(text):
+    """A simulate config's nnz spec: 'uniform lo hi' or 'bernoulli q'."""
+    spec = text.split()
     try:
-        if "nnz" not in options:
-            nnz_mode = None  # the generator's default, uniform on {1..min(3, K)}
-        elif nnz_raw[:1] == ["uniform"] and len(nnz_raw) == 3:
-            nnz_mode = ("uniform", int(nnz_raw[1]), int(nnz_raw[2]))
-        elif nnz_raw[:1] == ["bernoulli"] and len(nnz_raw) == 2:
-            nnz_mode = ("bernoulli", float(nnz_raw[1]))
-        else:
-            raise ValueError
+        if spec[:1] == ["uniform"] and len(spec) == 3:
+            return ("uniform", int(spec[1]), int(spec[2]))
+        if spec[:1] == ["bernoulli"] and len(spec) == 2:
+            return ("bernoulli", float(spec[1]))
     except ValueError:
-        raise ValueError(f"bad nnz spec {options['nnz']!r}") from None
-    return SynthConfig(
-        Q=int(need("q")),
-        N=int(need("n")),
-        K=int(need("k")),
-        nnz_mode=nnz_mode,
-        lambda_k=float(options.get("lambda_k", 2.0 / 3.0)),
-        v_mu=float(options.get("v_mu", 1.0)),
-        p_obs=float(options.get("p_obs", 1.0)),
-        link=_parse_link(options.get("link", "probit")),
-        seed=int(options.get("seed", 0)),
-    )
+        pass
+    raise ValueError(f"bad nnz spec {text!r}")
+
+
+# the SynthConfig field of each simulate config key, and its parser
+_SYNTH_KEYS = {"q": ("Q", int), "n": ("N", int), "k": ("K", int),
+               "nnz": ("nnz_mode", _nnz_mode), "lambda_k": ("lambda_k", float),
+               "v_mu": ("v_mu", float), "p_obs": ("p_obs", float),
+               "link": ("link", _parse_link), "seed": ("seed", int)}
+
+
+def _synth_config_from_options(path, options):
+    """SynthConfig from the options read from path; q, n and k are
+    required, and any other key left out takes SynthConfig's default."""
+    fields = {}
+    for key, (field, parse) in _SYNTH_KEYS.items():
+        if key not in options:
+            if field in ("Q", "N", "K"):
+                raise ValueError(f"config is missing required key {key!r}")
+            continue
+        try:
+            fields[field] = parse(options[key])
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+    return SynthConfig(**fields)
 
 
 def _manifest_path(out):
@@ -166,7 +171,7 @@ def _manifest_path(out):
 
 
 def cmd_simulate(args):
-    config = _synth_config_from_options(read_config_file(args.config))
+    config = _synth_config_from_options(args.config, read_config_file(args.config))
     truth, data = generate_synthetic(config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -181,84 +186,81 @@ def cmd_simulate(args):
             [args.config], [responses, truth_path, mask_path])
 
 
+# the fit options each method reads, by flag, with the name of the library
+# parameter each one sets, which is also its argparse dest; --k, --seed,
+# --data and --out are read by every method.  These options are None unless
+# given, so main can refuse one the method does not read.
+_METHOD_OPTIONS = {
+    "ml": {"--link": "link", "--lambda": "lambda_l1", "--gamma": "gamma_c",
+           "--mu-w": "mu_w", "--inner-iters": "inner_iters",
+           "--max-outer": "max_outer", "--outer-tol": "outer_tol",
+           "--restarts": "restarts", "--lambda-grid": "lambda_grid",
+           "--threads": "n_threads"},
+    "bayes": {"--burnin": "burn_in", "--samples": "n_samples",
+              "--threshold": "activity_threshold"},
+    "ksvd": {"--sparsity": "row_sparsity", "--ksvd-iters": "max_iters"},
+}
+# the defaults the library does not state: MLConfig has no default weight,
+# run_gibbs defaults to the 30k-sweep protocol, and the point estimate and
+# KsvdConfig have no default threshold or budget; every other option left
+# out takes the library's default
+_FIT_DEFAULTS = {"lambda_l1": 0.1, "burn_in": 1000, "n_samples": 1000,
+                 "activity_threshold": 0.35, "row_sparsity": 3}
+
+
+def _given(args, method):
+    """{dest: value} of the options of method that are not None."""
+    dests = _METHOD_OPTIONS[method].values()
+    return {dest: getattr(args, dest) for dest in dests
+            if getattr(args, dest) is not None}
+
+
 def _fit_ml(args, data):
-    config = MLConfig(
-        lambda_l1=args.lam if args.lam is not None else 0.1,
-        gamma_c=args.gamma,
-        mu_w=args.mu_w,
-        inner_iters=args.inner_iters,
-        max_outer=args.max_outer,
-        outer_tol=args.outer_tol,
-        restarts=args.restarts,
-        seed=args.seed,
-        link=LinkKind(args.link),
-    )
+    options = _given(args, "ml")
+    lambda_grid = options.pop("lambda_grid", None)
+    threads = {"n_threads": options.pop("n_threads")} if "n_threads" in options else {}
+    if "link" in options:
+        options["link"] = LinkKind(options["link"])
+    config = MLConfig(seed=args.seed, **options)
     extras = {"method": "ml", "lambda_l1": config.lambda_l1}
-    if args.lambda_grid is not None:
+    if lambda_grid is not None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            selection = bic_select_lambda(data, args.k, args.lambda_grid, config,
-                                          n_threads=args.threads)
+            selection = bic_select_lambda(data, args.k, lambda_grid, config, **threads)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-        model, trace = selection.model, selection.trace
+        model, extras["trace"] = selection.model, selection.trace
         extras["lambda_l1"] = selection.lambda_l1
         extras["lambda_selection"] = selection.table
     else:
-        model, trace = fit_ml(data, args.k, config, n_threads=args.threads)
-    extras["trace"] = {
-        "objectives": [float(v) for v in trace.objectives],
-        "final_objective": trace.final_objective,
-        "n_outer": trace.n_outer,
-        "restart_index": trace.restart_index,
-    }
+        model, extras["trace"] = fit_ml(data, args.k, config, **threads)
     return model, extras
 
 
 def _fit_bayes(args, data):
-    hyper = bayes.SpikeSlabHyperparams()
-    summary = bayes.run_gibbs(
-        data,
-        args.k,
-        hyper,
-        burn_in=args.burnin,
-        n_samples=args.samples,
-        rng=args.seed,
-    )
-    model = bayes.posterior_point_estimates(summary, args.threshold)
-    extras = {
-        "method": "bayes",
-        "activity_threshold": args.threshold,
-        "posterior": io_formats.posterior_to_dict(summary),
-    }
+    summary = bayes.run_gibbs(data, args.k, burn_in=args.burn_in,
+                              n_samples=args.n_samples, rng=args.seed)
+    model = bayes.posterior_point_estimates(summary, args.activity_threshold)
+    extras = {"method": "bayes", "activity_threshold": args.activity_threshold,
+              "posterior": summary}
     return model, extras
 
 
 def _fit_ksvd(args, data):
-    config = ksvd.KsvdConfig(
-        n_concepts=args.k,
-        row_sparsity=args.sparsity,
-        max_iters=args.ksvd_iters,
-        seed=args.seed,
-    )
+    config = ksvd.KsvdConfig(n_concepts=args.k, seed=args.seed, **_given(args, "ksvd"))
     W, C = ksvd.fit_ksvd(data, config)
     # the baseline has no difficulty term and ignores the link; the probit
     # tag is a placeholder so the model file stays self-describing
     model = FactorModel(W, C, np.zeros(data.Q), LinkKind.PROBIT)
-    extras = {"method": "ksvd", "row_sparsity": args.sparsity}
+    extras = {"method": "ksvd", "row_sparsity": args.row_sparsity}
     return model, extras
 
 
 def cmd_fit(args):
     data, question_ids, learner_ids = io_formats.read_response_csv(args.data)
-    if args.method == "ml":
-        model, extras = _fit_ml(args, data)
-    elif args.method == "bayes":
-        model, extras = _fit_bayes(args, data)
-    else:
-        model, extras = _fit_ksvd(args, data)
-    extras["question_ids"] = question_ids
-    extras["learner_ids"] = learner_ids
+    fit = {"ml": _fit_ml, "bayes": _fit_bayes, "ksvd": _fit_ksvd}[args.method]
+    model, extras = fit(args, data)
+    extras.update(question_ids=question_ids, learner_ids=learner_ids)
     out = Path(args.out)
     io_formats.write_model_json(out, model, extras)
     return (_manifest_path(out),
@@ -297,20 +299,11 @@ def cmd_eval(args):
 
     if args.truth:
         truth, _ = io_formats.read_model_json(args.truth)
-        metrics = evaluate.eval_metrics(truth, model)
-        report["metrics"] = {
-            "e_w": metrics.e_w,
-            "e_c": metrics.e_c,
-            "e_mu": metrics.e_mu,
-            "e_h": metrics.e_h,
-            "permutation": list(metrics.permutation),
-        }
+        metrics = report["metrics"] = evaluate.eval_metrics(truth, model)
         for name in ("e_w", "e_c", "e_mu", "e_h"):
-            csv_rows.append((trial, method, name, report["metrics"][name]))
+            csv_rows.append((trial, method, name, getattr(metrics, name)))
 
     if args.holdout:
-        if not args.train:
-            raise ValueError("--holdout requires --train to check disjointness")
         holdout, _, _ = io_formats.read_response_csv(args.holdout)
         train, _, _ = io_formats.read_response_csv(args.train)
         if holdout.mask.shape != train.mask.shape:
@@ -332,19 +325,11 @@ def cmd_eval(args):
         tag_matrix = tags.read_tags_csv(args.tags, qids)
         A = tags.fit_tag_map(model.W, tag_matrix)
         U = tags.learner_tag_knowledge(A, model.C)
-        report["concept_tags"] = {
-            f"concept_{k + 1}": [[name, share] for name, share in
-                                 tags.top_tags(A, tag_matrix.names, k)]
-            for k in range(model.K)
-        }
-        report["tag_knowledge"] = {
-            "tags": list(tag_matrix.names),
-            "per_learner": {
-                lids[j]: [float(U[m, j]) for m in range(tag_matrix.M)]
-                for j in range(model.N)
-            },
-            "class_average": [float(v) for v in U.mean(axis=1)],
-        }
+        report["concept_tags"] = {f"concept_{k + 1}": tags.top_tags(A, tag_matrix.names, k)
+                                  for k in range(model.K)}
+        report["tag_knowledge"] = {"tags": tag_matrix.names,
+                                   "per_learner": dict(zip(lids, U.T)),
+                                   "class_average": U.mean(axis=1)}
 
     if not report:
         raise ValueError("nothing to evaluate: pass --truth, --holdout or --tags")
@@ -376,27 +361,26 @@ def build_parser():
     p_fit.add_argument("--out", required=True)
     p_fit.add_argument("--k", type=_positive_int, required=True)
     p_fit.add_argument("--seed", type=_non_negative_int, default=0)
-    p_fit.add_argument("--link", default="probit",
+    dest = {flag: d for options in _METHOD_OPTIONS.values()
+            for flag, d in options.items()}
+    p_fit.add_argument("--link", dest=dest["--link"],
                        choices=[kind.value for kind in LinkKind])
     lam_choice = p_fit.add_mutually_exclusive_group()
-    lam_choice.add_argument("--lambda", dest="lam", type=_positive_number,
-                            default=None)
-    lam_choice.add_argument("--lambda-grid", type=_lambda_grid, default=None,
+    lam_choice.add_argument("--lambda", dest=dest["--lambda"], type=_positive_number)
+    lam_choice.add_argument("--lambda-grid", dest=dest["--lambda-grid"],
+                            type=_lambda_grid,
                             help="comma-separated candidates scored by BIC")
-    p_fit.add_argument("--gamma", type=_positive_number, default=0.1)
-    p_fit.add_argument("--mu-w", type=_non_negative_number, default=1e-4)
-    p_fit.add_argument("--inner-iters", type=_positive_int, default=10)
-    p_fit.add_argument("--max-outer", type=_positive_int, default=500)
-    p_fit.add_argument("--outer-tol", type=_non_negative_number, default=1e-6)
-    p_fit.add_argument("--restarts", type=_positive_int, default=1)
-    p_fit.add_argument("--threads", type=_positive_int, default=1)
-    p_fit.add_argument("--burnin", type=_positive_int, default=1000)
-    p_fit.add_argument("--samples", type=_positive_int, default=1000)
-    p_fit.add_argument("--threshold", type=_probability, default=0.35,
+    for flag, kind in (("--gamma", _positive_number), ("--mu-w", _non_negative_number),
+                       ("--inner-iters", _positive_int), ("--max-outer", _positive_int),
+                       ("--outer-tol", _non_negative_number),
+                       ("--restarts", _positive_int), ("--threads", _positive_int),
+                       ("--burnin", _positive_int), ("--samples", _positive_int),
+                       ("--ksvd-iters", _positive_int)):
+        p_fit.add_argument(flag, dest=dest[flag], type=kind)
+    p_fit.add_argument("--threshold", dest=dest["--threshold"], type=_probability,
                        help="activity threshold for the bayes point estimate")
-    p_fit.add_argument("--sparsity", type=_positive_int, default=3,
+    p_fit.add_argument("--sparsity", dest=dest["--sparsity"], type=_positive_int,
                        help="per-question nonzero budget for ksvd")
-    p_fit.add_argument("--ksvd-iters", type=_positive_int, default=20)
     p_fit.set_defaults(func=cmd_fit)
 
     p_graph = sub.add_parser("graph", help="emit a DOT concept map")
@@ -423,9 +407,21 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "fit" and args.method == "ksvd" and args.sparsity > args.k:
-            parser.error(f"--sparsity {args.sparsity} exceeds --k {args.k}: a "
-                         "question cannot use more concepts than the model has")
+        if args.command == "fit":
+            unread = [flag for method, options in _METHOD_OPTIONS.items()
+                      if method != args.method for flag, dest in options.items()
+                      if getattr(args, dest) is not None]
+            if unread:
+                parser.error(f"--method {args.method} does not read "
+                             f"{', '.join(unread)}")
+            for dest, value in _FIT_DEFAULTS.items():
+                if getattr(args, dest) is None:
+                    setattr(args, dest, value)
+            if args.method == "ksvd" and args.row_sparsity > args.k:
+                parser.error(f"--sparsity {args.row_sparsity} exceeds --k {args.k}: "
+                             "a question cannot use more concepts than the model has")
+        if args.command == "eval" and args.holdout and not args.train:
+            parser.error("--holdout requires --train to check disjointness")
     except SystemExit as exc:
         return exc.code if exc.code is not None else USAGE_ERROR
     started = time.perf_counter()

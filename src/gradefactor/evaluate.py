@@ -22,7 +22,7 @@ from .model import FactorModel, ResponseMatrix
 _EXHAUSTIVE_LIMIT = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class EvalReport:
     """Normalized squared errors, support error and concept permutation."""
 

@@ -9,14 +9,17 @@ through csv.reader, which gives the same result on a plain file and
 raises the message for a malformed one.  Every reader raises a malformed
 file, undecodable text included, as ValueError naming the file.  The
 model JSON stores W as (question, concept, value) triplets so the sparse
-support is explicit.  Everything is serialized with sorted keys and
-repr-exact floats so rerunning a command with the same inputs writes
-byte-identical files.
+support is explicit.  Every JSON artifact goes through write_json, which
+also writes numpy values, enums and the library's dataclass records, with
+sorted keys and repr-exact floats so rerunning a command with the same
+inputs writes byte-identical files.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import enum
 import hashlib
 import io
 import json
@@ -24,7 +27,6 @@ from itertools import islice, repeat
 
 import numpy as np
 
-from .bayes import PosteriorSummary
 from .links import LinkKind
 from .model import FactorModel, ResponseMatrix
 
@@ -211,12 +213,27 @@ def _reject_duplicate(path, kind, ids):
         seen.add(ident)
 
 
+def _encode(obj):
+    """json's hook for what it cannot write itself: a numpy array or scalar
+    as its list or value, an enum as its value, and a dataclass instance as
+    one key per field, whose values json encodes in turn."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, enum.Enum):
+        return obj.value
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+    raise TypeError(f"cannot write a {type(obj).__name__} as JSON")
+
+
 def write_json(path, payload, indent=1):
-    """Write payload as JSON with sorted keys and a trailing newline."""
+    """Write payload as JSON with sorted keys and a trailing newline; numpy
+    values, enums and dataclass instances go through _encode."""
     with open(path, "w") as fh:
         # dumps, not dump: the same text in one write; dump writes token by
         # token and, unlike an unindented dumps, never uses the C encoder
-        fh.write(json.dumps(payload, sort_keys=True, indent=indent) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=indent, default=_encode)
+                 + "\n")
 
 
 def write_mask_json(path, data: ResponseMatrix):
@@ -225,18 +242,16 @@ def write_mask_json(path, data: ResponseMatrix):
 
 
 def model_to_dict(model: FactorModel, extras=None):
-    triplets = [
-        [int(i), int(k), float(model.W[i, k])]
-        for i, k in np.argwhere(model.W != 0)
-    ]
+    rows, cols = np.nonzero(model.W)
     payload = {
         "Q": model.Q,
         "N": model.N,
         "K": model.K,
         "link": model.link.value,
-        "W": triplets,
-        "C": [[float(v) for v in row] for row in model.C],
-        "mu": [float(v) for v in model.mu],
+        "W": [list(triplet) for triplet in
+              zip(rows.tolist(), cols.tolist(), model.W[rows, cols].tolist())],
+        "C": model.C.tolist(),
+        "mu": model.mu.tolist(),
     }
     if extras:
         payload.update(extras)
@@ -281,20 +296,6 @@ def read_model_json(path):
     except (TypeError, ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     return model, payload
-
-
-def posterior_to_dict(summary: PosteriorSummary):
-    return {
-        "n_samples": summary.n_samples,
-        "burn_in": summary.burn_in,
-        "w_mean": summary.w_mean.tolist(),
-        "w_var": summary.w_var.tolist(),
-        "c_mean": summary.c_mean.tolist(),
-        "c_var": summary.c_var.tolist(),
-        "mu_mean": summary.mu_mean.tolist(),
-        "mu_var": summary.mu_var.tolist(),
-        "activity": summary.activity.tolist(),
-    }
 
 
 def model_to_dot(model: FactorModel, question_ids=None, concept_labels=None):

@@ -86,7 +86,7 @@ class MLConfig:
             raise ValueError("outer_tol must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FitTrace:
     """Objective values per outer iteration of the winning restart.
 

@@ -88,10 +88,10 @@ def _draw_weights(config: SynthConfig, rng) -> np.ndarray:
     return W
 
 
-def generate_synthetic(config: SynthConfig, rng=None):
-    """Draw (ground-truth FactorModel, ResponseMatrix) from the priors."""
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(config.seed if rng is None else rng)
+def generate_synthetic(config: SynthConfig):
+    """Draw (ground-truth FactorModel, ResponseMatrix) from the priors,
+    seeded by config.seed."""
+    rng = np.random.default_rng(config.seed)
     Q, N, K = config.Q, config.N, config.K
     W = _draw_weights(config, rng)
     V = sample_inv_wishart(np.eye(K), K + 1, rng)

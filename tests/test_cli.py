@@ -1,12 +1,16 @@
 """End-to-end command checks: file formats, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from gradefactor import cli
+from gradefactor.bayes import PosteriorSummary
 from gradefactor.cli import main
+from gradefactor.evaluate import EvalReport
 from gradefactor.io_formats import (
     model_to_dot,
     read_model_json,
@@ -14,6 +18,7 @@ from gradefactor.io_formats import (
     write_model_json,
     write_response_csv,
 )
+from gradefactor.mle import FitTrace, MLConfig
 from gradefactor.model import FactorModel, ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
 
@@ -98,6 +103,19 @@ class TestSimulate:
                      str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("line,message", [
+        ("q = abc", "q: invalid literal for int() with base 10: 'abc'"),
+        ("seed = 1.5", "seed: invalid literal for int() with base 10: '1.5'"),
+        ("p_obs = x", "p_obs: could not convert string to float: 'x'"),
+        ("link = cauchy", "link: unknown link 'cauchy'; use 'probit' or 'logit'"),
+    ])
+    def test_non_numeric_value_data_error(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"q = 5\nn = 5\nk = 2\n{line}\n")
+        assert main(["simulate", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     def test_default_support_fits_small_k(self, tmp_path):
         # no nnz line: the generator's own default, uniform on {1..min(3, K)}
@@ -304,6 +322,45 @@ class TestFit:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("method,option,unread", [
+        ("bayes", ["--link", "logit", "--lambda", "5", "--threads", "2", "--gamma", "3"],
+         "--link, --lambda, --gamma, --threads"),
+        ("ksvd", ["--link", "logit", "--burnin", "7", "--restarts", "4"],
+         "--link, --restarts, --burnin"),
+        ("ml", ["--burnin", "7", "--sparsity", "1", "--threshold", "0.5"],
+         "--burnin, --threshold, --sparsity"),
+        ("ml", ["--ksvd-iters", "5"], "--ksvd-iters"),
+        ("bayes", ["--link", "probit", "--lambda-grid", "1,2"], "--link, --lambda-grid"),
+        ("ksvd", ["--samples", "5", "--mu-w", "0", "--inner-iters", "2",
+                  "--max-outer", "3", "--outer-tol", "0"],
+         "--mu-w, --inner-iters, --max-outer, --outer-tol, --samples"),
+    ])
+    def test_unread_option_usage_error(self, sim_dir, tmp_path, capsys, method, option,
+                                       unread):
+        out = tmp_path / "m.json"
+        rc = main(["fit", "--method", method, "--data",
+                   str(sim_dir / "synth_responses.csv"), "--out", str(out),
+                   "--k", "2", *option])
+        assert rc == 1
+        assert f"error: --method {method} does not read {unread}\n" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ml_defaults_are_the_library_defaults(self, sim_dir, tmp_path,
+                                                  monkeypatch):
+        calls = []
+
+        def recording(data, K, config, **kwargs):
+            calls.append((config, kwargs))
+            return FactorModel(np.zeros((data.Q, K)), np.zeros((K, data.N)),
+                               np.zeros(data.Q)), FitTrace(np.zeros(1), 0.0, 0, 0)
+
+        monkeypatch.setattr(cli, "fit_ml", recording)
+        assert main(["fit", "--method", "ml", "--data",
+                     str(sim_dir / "synth_responses.csv"),
+                     "--out", str(tmp_path / "m.json"), "--k", "2"]) == 0
+        assert calls == [(MLConfig(lambda_l1=0.1), {})]
+
     @pytest.mark.parametrize("option", [
         ["--mu-w", "0", "--outer-tol", "0", "--max-outer", "3"],
         ["--method", "bayes", "--burnin", "1", "--samples", "1", "--threshold", "0"],
@@ -491,10 +548,65 @@ class TestEval:
         assert len(report["tag_knowledge"]["per_learner"]) == 10
         assert len(report["tag_knowledge"]["class_average"]) == 2
 
+    def test_holdout_without_train_usage_error(self, tmp_path, capsys):
+        # exit 1 before any file is read: the model does not exist
+        rc = main(["eval", "--model", str(tmp_path / "none.json"),
+                   "--holdout", str(tmp_path / "none.csv"),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 1
+        assert "--holdout requires --train" in capsys.readouterr().err
+
     def test_nothing_to_evaluate(self, sim_dir, tmp_path):
         rc = main(["eval", "--model", str(sim_dir / "synth_truth.json"),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 2
+
+
+def field_names(record_type):
+    return {field.name for field in dataclasses.fields(record_type)}
+
+
+class TestArtifactsMatchRecords:
+    """The JSON artifacts hold exactly the fields of the library's records,
+    and the keys the benchmark workloads read."""
+
+    def test_ml_trace(self, sim_dir, tmp_path):
+        out = tmp_path / "ml.json"
+        assert main(["fit", "--method", "ml", "--data",
+                     str(sim_dir / "synth_responses.csv"), "--out", str(out),
+                     "--k", "2", "--lambda-grid", "0.1,0.4", "--max-outer", "5"]) == 0
+        payload = json.loads(out.read_text())
+        assert set(payload["trace"]) == field_names(FitTrace)
+        assert payload["lambda_l1"] in (0.1, 0.4)
+        trace = payload["trace"]
+        assert len(trace["objectives"]) == trace["n_outer"] + 1
+        assert trace["final_objective"] == trace["objectives"][-1]
+
+    def test_bayes_posterior(self, sim_dir, tmp_path):
+        out = tmp_path / "bayes.json"
+        assert main(["fit", "--method", "bayes", "--data",
+                     str(sim_dir / "synth_responses.csv"), "--out", str(out),
+                     "--k", "2", "--burnin", "3", "--samples", "4"]) == 0
+        posterior = json.loads(out.read_text())["posterior"]
+        assert set(posterior) == field_names(PosteriorSummary)
+        assert (posterior["burn_in"], posterior["n_samples"]) == (3, 4)
+        assert np.shape(posterior["w_mean"]) == (12, 2)
+
+    def test_eval_metrics(self, sim_dir, tmp_path):
+        truth = sim_dir / "synth_truth.json"
+        _, data = generate_synthetic(SynthConfig(Q=12, N=10, K=2, seed=3))
+        hold = ResponseMatrix(data.entries, data.mask)
+        write_response_csv(tmp_path / "hold.csv", hold)
+        write_response_csv(tmp_path / "train.csv",
+                           ResponseMatrix(np.zeros((12, 10)), np.zeros((12, 10), bool)))
+        out = tmp_path / "r.json"
+        assert main(["eval", "--model", str(truth), "--truth", str(truth),
+                     "--holdout", str(tmp_path / "hold.csv"),
+                     "--train", str(tmp_path / "train.csv"), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert set(report["metrics"]) == field_names(EvalReport)
+        assert report["metrics"]["permutation"] == [0, 1]
+        assert 0 < report["prediction"]["avg_likelihood"] <= 1
 
 
 @pytest.mark.parametrize("command", ["graph", "eval"])

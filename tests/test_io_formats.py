@@ -18,8 +18,11 @@ from gradefactor.io_formats import (
     write_manifest,
     write_mask_json,
     write_model_json,
+    write_json,
     write_response_csv,
 )
+from gradefactor.links import LinkKind
+from gradefactor.mle import FitTrace
 from gradefactor.model import FactorModel, ResponseMatrix
 
 
@@ -339,3 +342,23 @@ class TestMaskJson:
                     "outputs": [str(model_path)], "elapsed_s": 0.125}
         assert manifest_path.read_bytes() == json_dump_bytes(
             tmp_path / "ref.json", manifest, indent=1)
+
+
+class TestWriteJson:
+    def test_records_arrays_and_enums_as_json_values(self, tmp_path):
+        trace = FitTrace(np.array([3.0, 2.5, 2.25]), 2.25, 2, 1)
+        payload = {"trace": trace, "link": LinkKind.LOGIT, "n": np.int64(7),
+                   "flag": np.bool_(True), "U": np.arange(6.0).reshape(2, 3),
+                   "pairs": (("a", 0.5),)}
+        plain = {"trace": {"objectives": [3.0, 2.5, 2.25], "final_objective": 2.25,
+                           "n_outer": 2, "restart_index": 1},
+                 "link": "logit", "n": 7, "flag": True,
+                 "U": [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], "pairs": [["a", 0.5]]}
+        write_json(tmp_path / "out.json", payload)
+        assert (tmp_path / "out.json").read_bytes() == json_dump_bytes(
+            tmp_path / "ref.json", plain, indent=1)
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}, FitTrace])
+    def test_unencodable_value_raises(self, tmp_path, value):
+        with pytest.raises(TypeError, match=f"cannot write a {type(value).__name__} "):
+            write_json(tmp_path / "out.json", {"value": value})
