@@ -152,12 +152,18 @@ _SYNTH_KEYS = {"q": ("Q", int), "n": ("N", int), "k": ("K", int),
 
 def _synth_config_from_options(path, options):
     """SynthConfig from the options read from path; q, n and k are
-    required, and any other key left out takes SynthConfig's default."""
+    required, any other key left out takes SynthConfig's default, and a
+    key SynthConfig does not have is an error."""
+    unknown = sorted(options.keys() - _SYNTH_KEYS.keys())
+    if unknown:
+        raise ValueError(f"{path}: not a simulate config key: "
+                         f"{', '.join(map(repr, unknown))} (the keys are "
+                         f"{', '.join(_SYNTH_KEYS)})")
     fields = {}
     for key, (field, parse) in _SYNTH_KEYS.items():
         if key not in options:
             if field in ("Q", "N", "K"):
-                raise ValueError(f"config is missing required key {key!r}")
+                raise ValueError(f"{path}: config is missing required key {key!r}")
             continue
         try:
             fields[field] = parse(options[key])

@@ -5,6 +5,10 @@ module.  Log-CDF values are evaluated in log space so that likelihoods
 stay finite for slack values far into the tails, and the hazard ratios
 N(x)/Phi(x) used by the gradients are computed with the scaled
 complementary error function instead of dividing two tiny numbers.
+
+`log_inv_link` and `hazard` take an optional `out` array of the input's
+shape (it may be the input itself) and write their result there, so the
+solver's inner loop evaluates them without allocating.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _require_no_nan(x, name):
-    if np.isnan(x).any():
+    # min propagates NaN, and unlike isnan(x).any() builds no temporary
+    if np.isnan(np.min(x, initial=np.inf)):
         raise ValueError(f"{name} received NaN input")
 
 
@@ -39,11 +44,11 @@ def inv_probit(x):
     return special.ndtr(x)
 
 
-def log_inv_probit(x):
+def log_inv_probit(x, out=None):
     """log of the standard normal CDF, accurate for large negative x."""
     x = np.asarray(x, dtype=float)
     _require_no_nan(x, "log_inv_probit")
-    return special.log_ndtr(x)
+    return special.log_ndtr(x, out=out)
 
 
 def inv_logit(x):
@@ -53,11 +58,11 @@ def inv_logit(x):
     return special.expit(x)
 
 
-def log_inv_logit(x):
+def log_inv_logit(x, out=None):
     """log of the logistic sigmoid, i.e. -log(1 + exp(-x))."""
     x = np.asarray(x, dtype=float)
     _require_no_nan(x, "log_inv_logit")
-    return special.log_expit(x)
+    return special.log_expit(x, out=out)
 
 
 def inv_link(x, link: LinkKind):
@@ -68,35 +73,37 @@ def inv_link(x, link: LinkKind):
     raise TypeError(f"unknown link {link!r}")
 
 
-def log_inv_link(x, link: LinkKind):
+def log_inv_link(x, link: LinkKind, out=None):
     if link is LinkKind.PROBIT:
-        return log_inv_probit(x)
+        return log_inv_probit(x, out)
     if link is LinkKind.LOGIT:
-        return log_inv_logit(x)
+        return log_inv_logit(x, out)
     raise TypeError(f"unknown link {link!r}")
 
 
-def probit_hazard(x):
+def probit_hazard(x, out=None):
     """Ratio N(x)/Phi(x) of the standard normal PDF to its CDF.
 
     Uses N(x)/Phi(x) = sqrt(2/pi) / erfcx(-x/sqrt(2)), which stays
     accurate for x far below zero where both N and Phi underflow.
     """
     x = np.asarray(x, dtype=float)
-    return _SQRT_2_OVER_PI / special.erfcx(-x / _SQRT_2)
+    # x / -sqrt(2) is -x / sqrt(2) exactly: IEEE rounding is sign-symmetric
+    t = special.erfcx(np.divide(x, -_SQRT_2, out=out), out=out)
+    return np.divide(_SQRT_2_OVER_PI, t, out=out)
 
 
-def logit_hazard(x):
+def logit_hazard(x, out=None):
     """Ratio Phi'(x)/Phi(x) for the logistic link: 1 / (1 + exp(x))."""
     x = np.asarray(x, dtype=float)
-    return special.expit(-x)
+    return special.expit(np.negative(x, out=out), out=out)
 
 
-def hazard(x, link: LinkKind):
+def hazard(x, link: LinkKind, out=None):
     if link is LinkKind.PROBIT:
-        return probit_hazard(x)
+        return probit_hazard(x, out)
     if link is LinkKind.LOGIT:
-        return logit_hazard(x)
+        return logit_hazard(x, out)
     raise TypeError(f"unknown link {link!r}")
 
 

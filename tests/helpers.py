@@ -116,46 +116,54 @@ def one_col(y, mask):
                           np.asarray(mask, dtype=bool)[:, None])
 
 
-def _kernel_args(data):
-    return data.observed, np.zeros((data.Q, data.N))
+def _workspace(data, W_aug, C_aug, link):
+    """The workspace fit_ml builds for a restart, started at (W_aug, C_aug)."""
+    return mle._Workspace(data.observed, np.asarray(W_aug, dtype=float),
+                          np.asarray(C_aug, dtype=float), link)
 
 
 def row_lipschitz(C_aug, mask, mu_w, link):
     """Step-size constant L of one question row with design C_aug."""
-    obs, buf = _kernel_args(one_row(np.zeros(len(mask)), mask))
-    return float(mle._row_lipschitz(np.asarray(C_aug, dtype=float), obs, buf,
-                                    mu_w, link)[0])
+    C_aug = np.asarray(C_aug, dtype=float)
+    work = _workspace(one_row(np.zeros(len(mask)), mask),
+                      np.zeros((1, C_aug.shape[0])), C_aug, link)
+    return float(mle._row_lipschitz(C_aug, work, mu_w, link)[0])
 
 
 def col_lipschitz(W, mask, link):
     """Step-size constant L of one learner column with concept weights W."""
-    obs, buf = _kernel_args(one_col(np.zeros(len(mask)), mask))
-    return float(mle._col_lipschitz(np.asarray(W, dtype=float), obs, buf, link)[0])
+    W = np.asarray(W, dtype=float)
+    work = _workspace(one_col(np.zeros(len(mask)), mask),
+                      np.zeros((W.shape[0], W.shape[1] + 1)),
+                      np.zeros((W.shape[1] + 1, 1)), link)
+    return float(mle._col_lipschitz(W, work, link)[0])
 
 
 def row_gradient(w, C_aug, y, mask, mu_w, link):
     """Gradient of the smooth part (NLL + ridge) of one question row."""
-    obs, buf = _kernel_args(one_row(y, mask))
-    return mle._row_gradient(np.asarray(w, dtype=float)[None, :], C_aug, obs, buf,
-                             mu_w, link)[0]
+    W_aug = np.asarray(w, dtype=float)[None, :]
+    work = _workspace(one_row(y, mask), W_aug, C_aug, link)
+    return mle._row_gradient(W_aug, C_aug, work, mu_w, link)[0]
 
 
 def col_gradient(c, W_aug, y, mask, link):
     """Gradient of the NLL of one learner column."""
-    obs, buf = _kernel_args(one_col(y, mask))
-    return mle._col_gradient(np.asarray(c, dtype=float)[:, None], W_aug, obs, buf,
-                             link)[:, 0]
+    C = np.asarray(c, dtype=float)[:, None]
+    work = _workspace(one_col(y, mask), W_aug, np.vstack([C, np.ones((1, 1))]),
+                      link)
+    return mle._col_gradient(C, W_aug, work, link)[:, 0]
 
 
 def solve_row(w0, C_aug, y, mask, lam, mu_w, link, iters):
     """The row phase run on one question row from w0 for iters steps."""
-    obs, buf = _kernel_args(one_row(y, mask))
     W_aug = np.array(w0, dtype=float)[None, :]
-    return mle._phase_w(W_aug, C_aug, obs, buf, lam, mu_w, link, iters)[0]
+    work = _workspace(one_row(y, mask), W_aug, C_aug, link)
+    return mle._phase_w(W_aug, C_aug, work, lam, mu_w, link, iters)[0]
 
 
 def solve_col(c0, W_aug, y, mask, gamma, link, iters):
     """The column phase run on one learner column from c0 for iters steps."""
-    obs, buf = _kernel_args(one_col(y, mask))
     C = np.array(c0, dtype=float)[:, None]
-    return mle._phase_c(C, W_aug, obs, buf, gamma, link, iters)[:, 0]
+    work = _workspace(one_col(y, mask), W_aug, np.vstack([C, np.ones((1, 1))]),
+                      link)
+    return mle._phase_c(C, W_aug, work, gamma, link, iters)[:, 0]

@@ -117,6 +117,30 @@ class TestSimulate:
                      str(tmp_path / "x")]) == 2
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
+    @pytest.mark.parametrize("lines,message", [
+        ("p_ob = 0.5", "not a simulate config key: 'p_ob'"),
+        ("burnin = 5\nP_OBS = 0.5\nseeds = 2",
+         "not a simulate config key: 'burnin', 'seeds'"),
+    ])
+    def test_unknown_key_data_error(self, tmp_path, capsys, lines, message):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(f"q = 5\nn = 5\nk = 2\n{lines}\n")
+        out = tmp_path / "x"
+        assert main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: {message} (the keys are q, n, k, nnz, lambda_k, v_mu, "
+            "p_obs, link, seed)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["q", "n", "k"])
+    def test_missing_required_key_names_file(self, tmp_path, capsys, key):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("".join(f"{k} = 5\n" for k in "qnk" if k != key))
+        assert main(["simulate", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: config is missing required key {key!r}\n")
+
     def test_default_support_fits_small_k(self, tmp_path):
         # no nnz line: the generator's own default, uniform on {1..min(3, K)}
         cfg = tmp_path / "k2.cfg"

@@ -5,12 +5,14 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from gradefactor.links import (
     LinkKind,
+    hazard,
     inv_logit,
     inv_probit,
+    log_inv_link,
     log_inv_probit,
     logit_hazard,
     probit_hazard,
@@ -169,3 +171,32 @@ class TestLogitHazard:
         y, z = rng.uniform(-20, 20, (2, 2000))
         lhs = np.abs(logit_hazard(y) - logit_hazard(z))
         assert (lhs <= 0.25 * np.abs(y - z) + 1e-12).all()
+
+
+class TestInPlaceKernels:
+    # the solver calls the kernels with out=, often aliasing the input
+    GRID = np.concatenate([[-1e3, -40.0, 0.0, 40.0], np.linspace(-40.0, 40.0, 321)])
+
+    @pytest.mark.parametrize("link", list(LinkKind))
+    @pytest.mark.parametrize("kernel", [hazard, log_inv_link])
+    def test_out_bitwise_equals_allocating_call(self, kernel, link):
+        expected = kernel(self.GRID, link)
+        out = np.empty_like(self.GRID)
+        assert kernel(self.GRID, link, out=out) is out
+        assert out.tobytes() == expected.tobytes()
+        x = self.GRID.copy()
+        assert kernel(x, link, out=x) is x
+        assert x.tobytes() == expected.tobytes()
+
+    def test_probit_hazard_is_the_erfcx_formula(self):
+        # -x / sqrt(2) negates first; the kernel divides by -sqrt(2)
+        formula = math.sqrt(2.0 / math.pi) / special.erfcx(-self.GRID / math.sqrt(2.0))
+        assert hazard(self.GRID, LinkKind.PROBIT).tobytes() == formula.tobytes()
+
+    @pytest.mark.parametrize("link", list(LinkKind))
+    def test_nan_rejected_with_out(self, link):
+        x = np.array([0.0, np.nan, 1.0])
+        with pytest.raises(ValueError):
+            log_inv_link(x, link, out=np.empty(3))
+        with pytest.raises(ValueError):
+            log_inv_link(x, link, out=x)

@@ -393,8 +393,9 @@ class TestBatchedPhases:
         W_aug = np.hstack([np.abs(rng.normal(size=(Q, K))), rng.normal(size=(Q, 1))])
         C_aug = np.vstack([rng.normal(size=(K, N)), np.ones((1, N))])
         lam, mu_w, iters = 0.15, 1e-3, 8
-        batched = _phase_w(W_aug.copy(), C_aug, data.observed, np.zeros((Q, N)),
-                           lam, mu_w, LinkKind.PROBIT, iters)
+        work = mle._Workspace(data.observed, W_aug, C_aug, LinkKind.PROBIT)
+        batched = _phase_w(W_aug.copy(), C_aug, work, lam, mu_w, LinkKind.PROBIT,
+                           iters)
         for i in range(Q):
             single = solve_row(W_aug[i], C_aug, data.entries[i], data.mask[i],
                                lam, mu_w, LinkKind.PROBIT, iters)
@@ -406,8 +407,9 @@ class TestBatchedPhases:
         W_aug = np.hstack([np.abs(rng.normal(size=(Q, K))), rng.normal(size=(Q, 1))])
         C = rng.normal(size=(K, N))
         gamma, iters = 0.25, 8
-        batched = _phase_c(C.copy(), W_aug, data.observed, np.zeros((Q, N)), gamma,
-                           LinkKind.PROBIT, iters)
+        work = mle._Workspace(data.observed, W_aug, np.vstack([C, np.ones((1, N))]),
+                              LinkKind.PROBIT)
+        batched = _phase_c(C.copy(), W_aug, work, gamma, LinkKind.PROBIT, iters)
         for j in range(N):
             single = solve_col(C[:, j], W_aug, data.entries[:, j], data.mask[:, j],
                                gamma, LinkKind.PROBIT, iters)
@@ -435,9 +437,10 @@ class TestBatchedPhases:
         truth, data = generate_synthetic(SynthConfig(Q=30, N=40, K=3, p_obs=0.3, seed=6))
         sizes = {"hazard": [], "log_inv_link": []}
         for name in sizes:
-            def recording(x, link, _real=getattr(mle, name), _sizes=sizes[name]):
+            def recording(x, link, out=None, _real=getattr(mle, name),
+                          _sizes=sizes[name]):
                 _sizes.append(np.size(x))
-                return _real(x, link)
+                return _real(x, link, out)
             monkeypatch.setattr(mle, name, recording)
         fit_ml(data, 3, MLConfig(lambda_l1=0.5, max_outer=4, outer_tol=0, restarts=2))
         assert len(sizes["hazard"]) == 2 * 4 * 2 * 10
@@ -593,6 +596,35 @@ class TestFitPinned:
             assert got == pytest.approx(pinned[name], rel=1e-12), name
         assert trace.final_objective == pytest.approx(pinned["final_objective"],
                                                       rel=1e-12)
+
+
+class TestObjectiveCache:
+    # each phase reads its incoming objective from the per-cell
+    # log-likelihood cache and evaluates the link once, at its end point
+    def test_link_calls_per_restart(self, monkeypatch):
+        calls = {"log_inv_link": 0, "hazard": 0}
+        for name in calls:
+            def counting(x, link, out=None, _real=getattr(mle, name), _name=name):
+                calls[_name] += 1
+                return _real(x, link, out)
+            monkeypatch.setattr(mle, name, counting)
+        n, inner = 7, 4
+        _, data = generate_synthetic(SynthConfig(Q=15, N=20, K=2, p_obs=0.8, seed=7))
+        fit_ml(data, 2, MLConfig(lambda_l1=0.3, max_outer=n, outer_tol=0.0,
+                                 inner_iters=inner, seed=1))
+        assert calls["log_inv_link"] == 1 + 2 * n
+        assert calls["hazard"] == 2 * inner * n
+
+    @pytest.mark.parametrize("link", LINKS)
+    @pytest.mark.parametrize("p_obs", [0.7, 1.0])
+    def test_final_objective_is_objective_value(self, p_obs, link):
+        _, data = generate_synthetic(SynthConfig(Q=12, N=15, K=3, p_obs=p_obs, seed=41))
+        cfg = MLConfig(lambda_l1=0.2, max_outer=20, outer_tol=0.0, restarts=2,
+                       seed=42, link=link)
+        model, trace = fit_ml(data, 3, cfg)
+        W_aug = np.column_stack([model.W, model.mu])
+        assert trace.final_objective == pytest.approx(
+            objective_value(W_aug, model.C, data, cfg), rel=1e-12)
 
 
 class TestBicSelection:
