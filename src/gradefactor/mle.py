@@ -28,12 +28,21 @@ from .links import LinkKind, hazard, log_inv_link, scalar_lipschitz
 from .model import Dimensions, FactorModel, ResponseMatrix, log_likelihood
 
 _L_FLOOR = 1e-12
-# fits with fewer cells (Q * N) than this run their restarts serially even
-# when threads are offered: each step is then mostly Python overhead under
-# the interpreter lock, so a second thread adds contention, not speed.
-# Measured with 2 restarts on 2 threads against 1 (BIC over 4 lambdas, 25
-# outer iterations): a second thread breaks even near 2000 cells for probit
-# and 6000 for logit, whose cheaper kernels release the lock for less time.
+# the members of one fit (its restarts, and with a lambda grid every
+# (lambda, restart) pair) advance together as stacks of at most this many
+# cells (B * Q * N), or of one member when it alone is larger.  A stack of
+# small members makes one kernel call where each would make its own: per
+# member, 8 logit members of 34 x 99 took 15 ms where one alone took 23
+# (8 outer iterations, K = 5).  Larger stacks spill the workspace out of
+# cache: 2 members of 32k cells took 2-21% longer each than one alone.
+_BATCH_CELLS = 32_768
+# a fit splits its members into stacks for a thread pool only while each
+# stack keeps at least this many cells: a smaller one spends its steps
+# mostly in Python overhead under the interpreter lock, so a second thread
+# adds contention, not speed.  Measured with 2 restarts on 2 threads
+# against 1 (BIC over 4 lambdas, 25 outer iterations), one restart per
+# thread: a second thread breaks even near 2000 cells for probit and 6000
+# for logit, whose cheaper kernels release the lock for less time.
 _SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 2_000, LinkKind.LOGIT: 6_000}
 
 
@@ -84,6 +93,8 @@ class MLConfig:
             raise ValueError("inner_iters, max_outer and restarts must be >= 1")
         if self.outer_tol < 0:
             raise ValueError("outer_tol must be non-negative")
+        if not isinstance(self.link, LinkKind):
+            raise TypeError("link must be a LinkKind")
 
 
 @dataclass(frozen=True)
@@ -130,54 +141,60 @@ def objective_value(W_aug, C, data: ResponseMatrix, config: MLConfig) -> float:
 
 
 class _Workspace:
-    """The arrays one restart's kernels work in, allocated once, so that
-    no step of the outer iteration allocates a Q x N or n_observed array.
-    Fresh Q x N temporaries in every kernel call cost their pages' faults
-    afresh: about 358k minor faults per ml-full benchmark operation (4
-    fits of 200 x 300, 10 outer iterations), against 2k with this.
+    """The arrays one stack of members' kernels work in, allocated once, so
+    that no step of the outer iteration allocates a Q x N or n_observed
+    array.  Fresh Q x N temporaries in every kernel call cost their pages'
+    faults afresh: about 358k minor faults per ml-full benchmark operation
+    (4 fits of 200 x 300, 10 outer iterations), against 2k with this.
+
+    A stack of B members holds their W_aug stacked as (B*Q) x (K+1) and
+    their C_aug as (K+1) x (B*N), member m in rows m*Q... and columns
+    m*N...; each B x ... array below has one matrix or row per member.
 
     obs : the observed cells of the response matrix.
-    slack : Q x N slack Z of the iterate being evaluated, filled by
+    slack : B x Q x N slack Z of the iterate being evaluated, filled by
         np.matmul(..., out=).
-    buf : Q x N, zero at every unobserved cell.  The kernels scatter their
-        per-cell values into it, so masked gradients and per-row or
+    buf : B x Q x N, zero at every unobserved cell.  The kernels scatter
+        their per-cell values into it, so masked gradients and per-row or
         per-column sums are plain dense operations on it.
-    cells : the observed cells of s * Z, which the link kernels overwrite
-        with their values in place.
-    loglik : the log-likelihood of each observed cell at the current
-        iterate.  Each phase reads its incoming objective from it and
-        evaluates the link once, at its end point.  A vector of the
-        observed cells, not a third Q x N array, so that the workspace
-        is no larger than the temporaries it replaced.
+    cells : B x n_observed, the observed cells of s * Z, which the link
+        kernels overwrite with their values in place.
+    loglik : B x n_observed, the log-likelihood of each observed cell at
+        the current iterate.  Each phase reads its incoming objective from
+        it and evaluates the link once, at its end point.  Observed cells,
+        not a third Q x N array per member, so that the workspace is no
+        larger than the temporaries it replaced.
 
     The cache starts at the slack W_aug @ C_aug of the first iterate,
-    C_aug being C with a trailing all-ones row.  One workspace per
-    restart, because restarts may run on a thread pool.
+    C_aug being C with a trailing all-ones row.  One workspace per stack,
+    because stacks may run on a thread pool.
     """
 
     def __init__(self, obs, W_aug, C_aug, link):
+        Q, N = obs.shape
+        B = W_aug.shape[0] // Q
         self.obs = obs
-        self.slack = np.empty(obs.shape)
-        self.buf = np.zeros(obs.shape)
-        self.cells = np.empty(obs.sign.shape)
-        self.loglik = np.empty(obs.sign.shape)
-        _log_lik_cells(np.matmul(W_aug, C_aug, out=self.slack), self, link)
+        self.slack = np.empty((B, Q, N))
+        self.buf = np.zeros((B, Q, N))
+        self.cells = np.empty((B,) + obs.sign.shape)
+        self.loglik = np.empty((B,) + obs.sign.shape)
+        _log_lik_cells(_slack(W_aug, C_aug, self), self, link)
         self.cells, self.loglik = self.loglik, self.cells
 
     def cached(self):
         """buf with the cached log-likelihood of each observed cell."""
         return self.obs.scatter(self.buf, self.loglik)
 
-    def objective(self, W_aug, C, config):
-        """objective_value at (W_aug, C), whose cells the cache holds; both
-        sum the observed cells in the same order."""
-        return -float(self.loglik.sum()) + _penalty(W_aug, C, config)
+    def objective(self, m, W_aug, C, config):
+        """objective_value at member m's (W_aug, C), whose cells the cache
+        holds; both sum the observed cells in the same order."""
+        return -float(self.loglik[m].sum()) + _penalty(W_aug, C, config)
 
     def accept(self, rejected):
         """Cache the cell log-likelihoods of a phase's end point, which
         cells and buf hold, except in the rows or columns where the
-        boolean rejected (Q x 1 or N) is set: those were put back to the
-        incoming iterate, whose cached cells stay."""
+        boolean rejected (B x Q x 1 or B x 1 x N) is set: those were put
+        back to the incoming iterate, whose cached cells stay."""
         if rejected.any():
             # the cached cells staged in slack zeroed off the mask, so that
             # buf stays zero there
@@ -187,12 +204,40 @@ class _Workspace:
             self.obs.gather(self.buf, out=self.cells)
         self.cells, self.loglik = self.loglik, self.cells
 
+    def keep(self, members):
+        """Shrink the stack to the members at the given increasing
+        positions, their cached cells moved to the front in order."""
+        n = len(members)
+        self.loglik[:n] = self.loglik[members]
+        self.loglik = self.loglik[:n]
+        self.cells = self.cells[:n]
+        self.slack = self.slack[:n]
+        self.buf = self.buf[:n]
+
+
+def _row_blocks(A, rows):
+    """A stack of members' blocks of `rows` rows as a B x rows x cols view."""
+    return A.reshape(-1, rows, A.shape[1])
+
+
+def _col_blocks(A, cols):
+    """A stack of members' blocks of `cols` columns as a B x rows x cols
+    view."""
+    return A.reshape(A.shape[0], -1, cols).transpose(1, 0, 2)
+
+
+def _slack(W_aug, C_aug, work):
+    """work.slack filled with each member's W_aug @ C_aug."""
+    Q, N = work.obs.shape
+    return np.matmul(_row_blocks(W_aug, Q), _col_blocks(C_aug, N), out=work.slack)
+
 
 def _col_slack(C, W_aug, work):
     """work.slack filled with W C + mu: the slack as the column phase
     forms it."""
-    Z = np.matmul(W_aug[:, :-1], C, out=work.slack)
-    Z += W_aug[:, -1][:, None]
+    Q, N = work.obs.shape
+    Z = np.matmul(_row_blocks(W_aug[:, :-1], Q), _col_blocks(C, N), out=work.slack)
+    Z += _row_blocks(W_aug[:, -1:], Q)
     return Z
 
 
@@ -218,18 +263,19 @@ def _residual_cells(Z, work, link):
 
 
 def _row_objectives(W_aug, cell_ll, lam, mu_w):
-    """Objective of every question row, from the Q x N log-likelihoods of
-    its cells (zero at unobserved cells)."""
-    nll = -cell_ll.sum(axis=1)
+    """Objective of every question row, from the B x Q x N log-likelihoods
+    of its cells (zero at unobserved cells); lam is a scalar or one weight
+    per row."""
+    nll = -cell_ll.sum(axis=-1).reshape(-1)
     l1 = np.abs(W_aug[:, :-1]).sum(axis=1)
     l2 = (W_aug * W_aug).sum(axis=1)
     return nll + lam * l1 + 0.5 * mu_w * l2
 
 
 def _col_objectives(C, cell_ll, gamma):
-    """Objective of every learner column, from the Q x N log-likelihoods
-    of its cells (zero at unobserved cells)."""
-    nll = -cell_ll.sum(axis=0)
+    """Objective of every learner column, from the B x Q x N
+    log-likelihoods of its cells (zero at unobserved cells)."""
+    nll = -cell_ll.sum(axis=-2).reshape(-1)
     return nll + 0.5 * gamma * (C * C).sum(axis=0)
 
 
@@ -238,34 +284,38 @@ def _row_lipschitz(C_aug, work, mu_w, link):
     hazard constant times the largest eigenvalue of the row's masked Gram
     sum_j mask[i, j] c_j c_j^T, plus mu_w, floored at _L_FLOOR."""
     d = C_aug.shape[0]
-    maskf = work.obs.scatter(work.buf, 1.0)  # buf as the float observation mask
+    N = work.obs.shape[1]
+    # the first member's buf as the float observation mask
+    maskf = work.obs.scatter(work.buf[0], 1.0)
     # per-row Gram as one matmul of the stacked outer products with the
     # mask, the contraction einsum("kj,ij,lj->ikl", optimize=True) runs,
     # without its per-call path search; einsum's operand order keeps the
     # result bitwise equal
     outer = (C_aug[:, None, :] * C_aug[None, :, :]).reshape(d * d, -1)
-    gram = (outer @ maskf.T).T.reshape(-1, d, d)
+    gram = (_col_blocks(outer, N) @ maskf.T).transpose(0, 2, 1).reshape(-1, d, d)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     return np.maximum(scalar_lipschitz(link) * sig2 + mu_w, _L_FLOOR)
 
 
 def _row_gradient(W_aug, C_aug, work, mu_w, link):
     """Gradient of the smooth part (log-likelihood + ridge) in every row."""
-    resid = _residual_cells(np.matmul(W_aug, C_aug, out=work.slack), work, link)
+    resid = _residual_cells(_slack(W_aug, C_aug, work), work, link)
     # -(R @ C^T) is (-R) @ C^T bitwise, without a Q x N negated copy
-    return -(resid @ C_aug.T) + mu_w * W_aug
+    grad = -(resid @ _col_blocks(C_aug, work.obs.shape[1]).transpose(0, 2, 1))
+    return grad.reshape(W_aug.shape) + mu_w * W_aug
 
 
 def _col_lipschitz(W, work, link):
     """Gradient Lipschitz constant of every learner-column subproblem, from
     the column's masked Gram sum_i mask[i, j] w_i w_i^T (W without the
     difficulty column), floored at _L_FLOOR."""
-    Q, K = W.shape
-    maskf = work.obs.scatter(work.buf, 1.0)  # buf as the float observation mask
+    K = W.shape[1]
+    Q = work.obs.shape[0]
+    maskf = work.obs.scatter(work.buf[0], 1.0)  # as in _row_lipschitz
     # per-column Gram as in _row_lipschitz: einsum("ik,ij,il->jkl") as one
     # matmul
-    outer = (W.T[:, None, :] * W.T[None, :, :]).reshape(K * K, Q)
-    gram = (outer @ maskf).T.reshape(-1, K, K)
+    outer = (W.T[:, None, :] * W.T[None, :, :]).reshape(K * K, -1)
+    gram = (_col_blocks(outer, Q) @ maskf).transpose(0, 2, 1).reshape(-1, K, K)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     return np.maximum(scalar_lipschitz(link) * sig2, _L_FLOOR)
 
@@ -273,24 +323,30 @@ def _col_lipschitz(W, work, link):
 def _col_gradient(C, W_aug, work, link):
     """Gradient of the log-likelihood in every learner column; the ridge
     enters through the proximal step instead."""
+    Q, N = work.obs.shape
     resid = _residual_cells(_col_slack(C, W_aug, work), work, link)
-    return -W_aug[:, :-1].T @ resid
+    grad = np.empty(C.shape)
+    np.matmul((-_row_blocks(W_aug[:, :-1], Q)).transpose(0, 2, 1), resid,
+              out=_col_blocks(grad, N))
+    return grad
 
 
 def _phase_w(W_aug, C_aug, work, lam, mu_w, link, iters):
     """One alternation over all question rows at once.
 
-    Rows carry individual step sizes from their masked designs.  Concept
-    coordinates take the non-negative soft threshold; the trailing
-    difficulty coordinate is neither shrunk nor clamped.  A final
-    accept-if-improved comparison against the incoming rows keeps the
-    outer objective non-increasing even with few inner iterations.  The
-    workspace's cache holds the cell log-likelihoods of the incoming rows
-    on entry and of the returned rows on exit.
+    Rows carry individual step sizes from their masked designs, and lam is
+    a scalar or one l1 weight per row.  Concept coordinates take the
+    non-negative soft threshold; the trailing difficulty coordinate is
+    neither shrunk nor clamped.  A final accept-if-improved comparison
+    against the incoming rows keeps the outer objective non-increasing even
+    with few inner iterations.  The workspace's cache holds the cell
+    log-likelihoods of the incoming rows on entry and of the returned rows
+    on exit.
     """
     d = W_aug.shape[1]
-    t = (1.0 / _row_lipschitz(C_aug, work, mu_w, link))[:, None]
-    lam_t = lam * t
+    t = 1.0 / _row_lipschitz(C_aug, work, mu_w, link)
+    lam_t = (lam * t)[:, None]
+    t = t[:, None]
 
     f_old = _row_objectives(W_aug, work.cached(), lam, mu_w)
     x_prev = W_aug
@@ -302,11 +358,11 @@ def _phase_w(W_aug, C_aug, work, lam, mu_w, link, iters):
         tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
         u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
         x_prev, tau = x, tau_next
-    cell_ll = _log_lik_cells(np.matmul(x_prev, C_aug, out=work.slack), work, link)
+    cell_ll = _log_lik_cells(_slack(x_prev, C_aug, work), work, link)
     worse = _row_objectives(x_prev, cell_ll, lam, mu_w) > f_old
     if worse.any():
         x_prev[worse] = W_aug[worse]
-    work.accept(worse[:, None])
+    work.accept(worse.reshape(-1, work.obs.shape[0], 1))
     return x_prev
 
 
@@ -314,7 +370,7 @@ def _phase_c(C, W_aug, work, gamma, link, iters):
     """One alternation over all learner columns at once; the ridge term
     enters through the rescaling prox, so no sign constraint applies.
     The accept-if-improved guard and the cache work as in _phase_w."""
-    t = 1.0 / _col_lipschitz(W_aug[:, :-1], work, link)  # (N,)
+    t = 1.0 / _col_lipschitz(W_aug[:, :-1], work, link)  # one per column
     shrink = 1.0 + gamma * t
 
     f_old = _col_objectives(C, work.cached(), gamma)
@@ -330,32 +386,117 @@ def _phase_c(C, W_aug, work, gamma, link, iters):
     worse = _col_objectives(x_prev, cell_ll, gamma) > f_old
     if worse.any():
         x_prev[:, worse] = C[:, worse]
-    work.accept(worse)
+    work.accept(worse.reshape(-1, 1, work.obs.shape[1]))
     return x_prev
 
 
-def _run_restart(data, K, config, seed_seq):
-    rng = np.random.default_rng(seed_seq)
-    Q, N = data.Q, data.N
-    W_aug = np.empty((Q, K + 1))
-    W_aug[:, :K] = np.abs(rng.standard_normal((Q, K)))
-    W_aug[:, K] = rng.standard_normal(Q)
-    C = rng.standard_normal((K, N))
-    ones = np.ones((1, N))
+def _run_stack(data, K, config, members):
+    """Fit the members, each a (lambda, restart seed sequence) pair, as one
+    stack through the same outer iterations.  Every member's numbers are
+    bitwise those of a stack holding it alone: its rows and columns meet
+    only its own in every product and sum, and it leaves the stack once
+    its own objective stops decreasing by outer_tol.  Returns (W_aug, C,
+    objectives) per member, in order."""
+    Q, N, B = data.Q, data.N, len(members)
+    W_aug = np.empty((B * Q, K + 1))
+    C = np.empty((K, B * N))
+    for m, (_, seed) in enumerate(members):
+        rng = np.random.default_rng(seed)
+        W_aug[m * Q:(m + 1) * Q, :K] = np.abs(rng.standard_normal((Q, K)))
+        W_aug[m * Q:(m + 1) * Q, K] = rng.standard_normal(Q)
+        C[:, m * N:(m + 1) * N] = rng.standard_normal((K, N))
+    configs = [dataclasses.replace(config, lambda_l1=lam) for lam, _ in members]
+    lam = np.repeat([lam for lam, _ in members], Q)
+    ones = np.ones((1, B * N))
+
+    def member(i):
+        return W_aug[i * Q:(i + 1) * Q], C[:, i * N:(i + 1) * N]
 
     work = _Workspace(data.observed, W_aug, np.vstack([C, ones]), config.link)
-    objs = [work.objective(W_aug, C, config)]
+    objs = [[work.objective(m, *member(m), configs[m])] for m in range(B)]
+    fits = [None] * B
+    active = list(range(B))  # the member at each position of the stack
     for _ in range(config.max_outer):
         C = _phase_c(C, W_aug, work, config.gamma_c, config.link,
                      config.inner_iters)
-        C_aug = np.vstack([C, ones])
-        W_aug = _phase_w(W_aug, C_aug, work, config.lambda_l1,
-                         config.mu_w, config.link, config.inner_iters)
-        objs.append(work.objective(W_aug, C, config))
-        decrease = objs[-2] - objs[-1]
-        if decrease < config.outer_tol * max(1.0, abs(objs[-2])):
-            break
-    return W_aug, C, np.asarray(objs)
+        C_aug = np.vstack([C, ones[:, :C.shape[1]]])
+        W_aug = _phase_w(W_aug, C_aug, work, lam, config.mu_w, config.link,
+                         config.inner_iters)
+        going = []
+        for i, m in enumerate(active):
+            objs[m].append(work.objective(i, *member(i), configs[m]))
+            decrease = objs[m][-2] - objs[m][-1]
+            if decrease < config.outer_tol * max(1.0, abs(objs[m][-2])):
+                fits[m] = member(i)
+            else:
+                going.append(i)
+        if len(going) < len(active):
+            active = [active[i] for i in going]
+            if not active:
+                break
+            W_aug = _row_blocks(W_aug, Q)[going].reshape(-1, K + 1)
+            C = C.reshape(K, -1, N)[:, going].reshape(K, -1)
+            lam = lam.reshape(-1, Q)[going].reshape(-1)
+            work.keep(going)
+    for i, m in enumerate(active):
+        fits[m] = member(i)
+    return [(*fits[m], np.asarray(objs[m])) for m in range(B)]
+
+
+def _chunks(n_members, cells, link, n_threads):
+    """Split member positions 0..n_members-1 into contiguous stacks.
+
+    A stack holds at most max(1, _BATCH_CELLS // cells) members.  With
+    n_threads > 1 the split grows to min(n_threads, n_members) stacks
+    while each still holds at least _SERIAL_RESTART_CELLS[link] cells.
+    """
+    n = -(-n_members // max(1, _BATCH_CELLS // cells))
+    while (n < min(n_threads, n_members)
+           and n_members // (n + 1) * cells >= _SERIAL_RESTART_CELLS[link]):
+        n += 1
+    return np.array_split(np.arange(n_members), n)
+
+
+def _fit_grid(data, K, config, lambdas, n_threads):
+    """Fit every (lambda, restart) member, config.restarts random starts
+    (seeded from config.seed, the same for every lambda) per lambda, and
+    return each lambda's best restart as (model, trace), in order."""
+    if (isinstance(n_threads, bool) or not isinstance(n_threads, numbers.Integral)
+            or n_threads < 1):
+        raise ValueError(f"n_threads must be an integer >= 1, not {n_threads!r}")
+    if data.n_observed == 0:
+        raise ValueError("cannot fit: no observed responses")
+    Dimensions(data.Q, data.N, K)
+    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
+    members = [(lam, seed) for lam in lambdas for seed in seeds]
+    data.observed  # build the shared view before stacks start on threads
+
+    chunks = _chunks(len(members), data.Q * data.N, config.link, n_threads)
+
+    def run(chunk):
+        return _run_stack(data, K, config, [members[m] for m in chunk])
+
+    if n_threads > 1 and len(chunks) > 1:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
+            stacks = list(pool.map(run, chunks))
+    else:
+        stacks = [run(chunk) for chunk in chunks]
+    results = [fit for stack in stacks for fit in stack]
+
+    fits = []
+    for start in range(0, len(results), config.restarts):
+        restarts = results[start:start + config.restarts]
+        best = min(range(len(restarts)), key=lambda r: restarts[r][2][-1])
+        W_aug, C, objs = restarts[best]
+        model = FactorModel(W_aug[:, :K], C, W_aug[:, K], config.link)
+        trace = FitTrace(
+            objectives=objs,
+            final_objective=float(objs[-1]),
+            n_outer=len(objs) - 1,
+            restart_index=best,
+        )
+        fits.append((model, trace))
+    return fits
 
 
 def fit_ml(data: ResponseMatrix, K: int, config: MLConfig, n_threads: int = 1):
@@ -363,40 +504,18 @@ def fit_ml(data: ResponseMatrix, K: int, config: MLConfig, n_threads: int = 1):
 
     Runs config.restarts random initializations (deterministically seeded
     from config.seed) and returns the model with the smallest final
-    objective together with its objective trace.  The restarts run on
-    n_threads threads only when the matrix has at least
-    _SERIAL_RESTART_CELLS[config.link] cells; the result is the same
-    either way.
+    objective together with its objective trace.  The restarts are fitted
+    as stacks of members advanced together, each stack at most
+    _BATCH_CELLS cells unless it holds one restart; with n_threads > 1
+    they are split into up to n_threads stacks of at least
+    _SERIAL_RESTART_CELLS[config.link] cells each, which run on a thread
+    pool.  The result is the same whatever the split.
 
     Returns
     -------
     (FactorModel, FitTrace)
     """
-    if data.n_observed == 0:
-        raise ValueError("cannot fit: no observed responses")
-    Dimensions(data.Q, data.N, K)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    data.observed  # build the shared view before restarts start on threads
-
-    if (n_threads > 1 and config.restarts > 1
-            and data.Q * data.N >= _SERIAL_RESTART_CELLS[config.link]):
-        with concurrent.futures.ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(
-                pool.map(lambda s: _run_restart(data, K, config, s), seeds)
-            )
-    else:
-        results = [_run_restart(data, K, config, s) for s in seeds]
-
-    best = min(range(len(results)), key=lambda r: results[r][2][-1])
-    W_aug, C, objs = results[best]
-    model = FactorModel(W_aug[:, :K], C, W_aug[:, K], config.link)
-    trace = FitTrace(
-        objectives=objs,
-        final_objective=float(objs[-1]),
-        n_outer=len(objs) - 1,
-        restart_index=best,
-    )
-    return model, trace
+    return _fit_grid(data, K, config, [config.lambda_l1], n_threads)[0]
 
 
 def pick_min_bic(candidates):
@@ -431,8 +550,11 @@ def bic_select_lambda(data: ResponseMatrix, K: int, lambda_grid, config: MLConfi
                       n_threads: int = 1) -> LambdaSelection:
     """Pick the sparsity weight minimizing an information criterion.
 
-    Each distinct candidate gets one full fit (same seed, restarts on
-    n_threads threads), and the winner's fit is returned with the choice.
+    Each distinct candidate gets one full fit (same seed and restarts),
+    the same as fit_ml's for that weight, bitwise.  All candidates' restarts
+    are fitted together as one set of members, stacked and split across
+    n_threads threads as in fit_ml, and the winner's fit is returned with
+    the choice.
     The criterion is -2 log-likelihood + df * log(n_observed) with df
     counting the active concept weights, all of C, and the Q difficulties;
     the df convention is documented rather than canonical.  Warns when
@@ -443,14 +565,12 @@ def bic_select_lambda(data: ResponseMatrix, K: int, lambda_grid, config: MLConfi
     if not lambda_grid:
         raise ValueError("lambda grid is empty")
     n_obs = data.n_observed
-    fits, table = {}, []
-    for lam in lambda_grid:
-        cfg = dataclasses.replace(config, lambda_l1=lam)
-        model, trace = fit_ml(data, K, cfg, n_threads=n_threads)
+    fits = dict(zip(lambda_grid, _fit_grid(data, K, config, lambda_grid, n_threads)))
+    table = []
+    for lam, (model, trace) in fits.items():
         ll = log_likelihood(model, data)
         df = int(np.count_nonzero(model.W)) + K * data.N + data.Q
         bic = float(-2.0 * ll + df * np.log(n_obs))
-        fits[lam] = (model, trace)
         table.append({"lambda": lam, "log_likelihood": ll, "df": df, "bic": bic,
                       "n_outer": trace.n_outer})
     chosen = pick_min_bic([(row["lambda"], row["bic"]) for row in table])

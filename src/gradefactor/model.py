@@ -47,6 +47,15 @@ class Dimensions:
             )
 
 
+def _flat_cells(Z):
+    """The cells of a Q x N array, or of each matrix of a B x Q x N stack,
+    as a flat view: one row per matrix, and 1-D for a single matrix,
+    whose fancy indexing is cheaper than a 2-D array's."""
+    if Z.ndim == 2 or len(Z) == 1:
+        return Z.reshape(-1)
+    return Z.reshape(len(Z), -1)
+
+
 @dataclass(frozen=True)
 class ObservedEntries:
     """The observed cells of a Q x N response matrix, in row-major order.
@@ -66,20 +75,29 @@ class ObservedEntries:
 
     def gather(self, Z, out=None):
         """Values of the C-contiguous Q x N array Z at the observed cells,
-        written into out when it is given."""
-        flat = Z.reshape(-1)
+        written into out when it is given.  A C-contiguous B x Q x N stack
+        gives B x n_observed values, one row per matrix."""
+        flat = _flat_cells(Z)
         if out is None:
-            return flat[self.index]
+            return flat[self.index] if flat.ndim == 1 else flat[:, self.index]
+        dest = out.reshape(flat.shape[:-1] + (-1,))  # a view of out
         if isinstance(self.index, slice):
-            np.copyto(out, flat[self.index])
-            return out
-        # clip mode: the default mode buffers the result in a temporary
-        return np.take(flat, self.index, out=out, mode="clip")
+            np.copyto(dest, flat[..., self.index])
+        else:
+            # clip mode: the default mode buffers the result in a temporary
+            np.take(flat, self.index, axis=-1, out=dest, mode="clip")
+        return out
 
     def scatter(self, out, values):
         """Write values into the observed cells of the C-contiguous Q x N
-        array out; the other cells keep what they hold."""
-        out.reshape(-1)[self.index] = values
+        array out, or of each matrix of a B x Q x N stack (values then
+        B x n_observed); the other cells keep what they hold."""
+        flat = _flat_cells(out)
+        if flat.ndim == 1:
+            # a 1 x n_observed value array would take a slower path
+            flat[self.index] = np.reshape(values, -1) if np.ndim(values) else values
+        else:
+            flat[:, self.index] = values
         return out
 
     @functools.cached_property

@@ -262,19 +262,26 @@ class TestFit:
         import gradefactor.cli as cli
         import gradefactor.mle as mle
 
-        fitted = []
+        grids, fitted = [], []
 
-        def counting(data, K, config, n_threads=1, _real=mle.fit_ml):
-            fitted.append(config.lambda_l1)
-            return _real(data, K, config, n_threads)
+        def counting(data, K, config, lambdas, n_threads, _real=mle._fit_grid):
+            grids.append(list(lambdas))
+            return _real(data, K, config, lambdas, n_threads)
 
-        monkeypatch.setattr(mle, "fit_ml", counting)
-        monkeypatch.setattr(cli, "fit_ml", counting)
+        def stacking(data, K, config, members, _real=mle._run_stack):
+            fitted.extend(lam for lam, _ in members)
+            return _real(data, K, config, members)
+
+        monkeypatch.setattr(mle, "_fit_grid", counting)
+        monkeypatch.setattr(mle, "_run_stack", stacking)
+        monkeypatch.setattr(cli, "fit_ml", None)  # the grid never fits one lambda
         rc = main(["fit", "--method", "ml", "--data",
                    str(sim_dir / "synth_responses.csv"),
                    "--out", str(tmp_path / "m.json"), "--k", "2",
                    "--lambda-grid", "0.1,0.4,0.4", "--max-outer", "10"])
         assert rc == 0
+        # each distinct value reaches the runner once, one member per restart
+        assert grids == [[0.1, 0.4]]
         assert sorted(fitted) == [0.1, 0.4]
 
     @pytest.mark.parametrize("grid,message", [

@@ -2,6 +2,7 @@
 against power iteration, subproblem solutions against grid search, and the
 outer-loop monotonicity guarantee."""
 
+import dataclasses
 import math
 import sys
 import threading
@@ -58,6 +59,11 @@ class TestConfig:
     def test_non_integer_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MLConfig(**{"lambda_l1": 1.0, field: value})
+
+    @pytest.mark.parametrize("value", ["probit", None, 1])
+    def test_link_must_be_a_linkkind(self, value):
+        with pytest.raises(TypeError, match="link must be a LinkKind"):
+            MLConfig(lambda_l1=1.0, link=value)
 
 
 class TestGradients:
@@ -435,17 +441,20 @@ class TestBatchedPhases:
         import gradefactor.mle as mle
 
         truth, data = generate_synthetic(SynthConfig(Q=30, N=40, K=3, p_obs=0.3, seed=6))
-        sizes = {"hazard": [], "log_inv_link": []}
-        for name in sizes:
+        shapes = {"hazard": [], "log_inv_link": []}
+        for name in shapes:
             def recording(x, link, out=None, _real=getattr(mle, name),
-                          _sizes=sizes[name]):
-                _sizes.append(np.size(x))
+                          _shapes=shapes[name]):
+                _shapes.append(np.shape(x))
                 return _real(x, link, out)
             monkeypatch.setattr(mle, name, recording)
         fit_ml(data, 3, MLConfig(lambda_l1=0.5, max_outer=4, outer_tol=0, restarts=2))
-        assert len(sizes["hazard"]) == 2 * 4 * 2 * 10
-        assert set(sizes["hazard"]) == {data.n_observed}
-        assert set(sizes["log_inv_link"]) == {data.n_observed}
+        # the 2 restarts run as one stack: each call evaluates the observed
+        # cells of both, one row per restart
+        assert len(shapes["hazard"]) == 4 * 2 * 10
+        assert len(shapes["log_inv_link"]) == 1 + 4 * 2
+        assert set(shapes["hazard"]) == {(2, data.n_observed)}
+        assert set(shapes["log_inv_link"]) == {(2, data.n_observed)}
 
 
 class TestFit:
@@ -498,18 +507,50 @@ class TestFit:
         (LinkKind.LOGIT, 60, 100, True),
     ])
     def test_small_fits_run_restarts_serially(self, monkeypatch, link, Q, N, pooled):
+        # two restarts split into one-restart stacks on the pool only when
+        # each keeps _SERIAL_RESTART_CELLS[link] cells; else they run as
+        # one stack on the calling thread
         _, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=2, seed=6))
-        threads = []
+        stacks = []
 
-        def recording(*args, _real=mle._run_restart):
-            threads.append(threading.get_ident())
-            return _real(*args)
+        def recording(data, K, config, members, _real=mle._run_stack):
+            stacks.append((threading.get_ident(), len(members)))
+            return _real(data, K, config, members)
 
-        monkeypatch.setattr(mle, "_run_restart", recording)
+        monkeypatch.setattr(mle, "_run_stack", recording)
         fit_ml(data, 2, MLConfig(lambda_l1=0.2, link=link, restarts=2, max_outer=1),
                n_threads=2)
-        assert len(threads) == 2
-        assert (threading.get_ident() not in threads) == pooled
+        assert sorted(n for _, n in stacks) == ([1, 1] if pooled else [2])
+        assert all((tid != threading.get_ident()) == pooled for tid, _ in stacks)
+
+    @pytest.mark.parametrize("n_members,cells,link,n_threads,sizes", [
+        (8, 3366, LinkKind.LOGIT, 1, [8]),
+        (8, 3366, LinkKind.LOGIT, 2, [4, 4]),
+        (8, 3366, LinkKind.LOGIT, 4, [2, 2, 2, 2]),
+        (8, 3366, LinkKind.LOGIT, 8, [2, 2, 2, 2]),
+        (10, 3366, LinkKind.LOGIT, 1, [5, 5]),
+        (8, 10_000, LinkKind.LOGIT, 1, [3, 3, 2]),
+        (3, 60_000, LinkKind.PROBIT, 1, [1, 1, 1]),
+        (3, 60_000, LinkKind.PROBIT, 8, [1, 1, 1]),
+        (5, 1_000, LinkKind.PROBIT, 8, [3, 2]),
+        (1, 60_000, LinkKind.PROBIT, 2, [1]),
+    ])
+    def test_member_chunks(self, n_members, cells, link, n_threads, sizes):
+        # at most _BATCH_CELLS cells per stack unless one member is larger;
+        # with threads, up to min(n_threads, members) stacks while each
+        # keeps _SERIAL_RESTART_CELLS[link] cells
+        chunks = mle._chunks(n_members, cells, link, n_threads)
+        assert [len(c) for c in chunks] == sizes
+        assert np.array_equal(np.concatenate(chunks), np.arange(n_members))
+
+    @pytest.mark.parametrize("n_threads", [0, -2, 2.5, True])
+    def test_bad_thread_count_rejected(self, n_threads):
+        _, data = generate_synthetic(SynthConfig(Q=6, N=6, K=1, seed=9))
+        cfg = MLConfig(lambda_l1=1.0, max_outer=2)
+        with pytest.raises(ValueError, match="n_threads"):
+            fit_ml(data, 1, cfg, n_threads=n_threads)
+        with pytest.raises(ValueError, match="n_threads"):
+            bic_select_lambda(data, 1, [0.5, 1.0], cfg, n_threads=n_threads)
 
     def test_best_restart_selected(self):
         truth, data = generate_synthetic(SynthConfig(Q=15, N=15, K=2, seed=7))
@@ -688,16 +729,24 @@ class TestBicSelection:
 
     def test_table_has_one_row_per_distinct_lambda(self, monkeypatch):
         truth, data = generate_synthetic(SynthConfig(Q=12, N=12, K=2, seed=13))
-        fitted = []
+        grids, members = [], []
 
-        def counting(data, K, config, n_threads=1, _real=mle.fit_ml):
-            fitted.append(config.lambda_l1)
-            return _real(data, K, config, n_threads)
+        def counting(data, K, config, lambdas, n_threads, _real=mle._fit_grid):
+            grids.append(list(lambdas))
+            return _real(data, K, config, lambdas, n_threads)
 
-        monkeypatch.setattr(mle, "fit_ml", counting)
+        def stacking(data, K, config, stack, _real=mle._run_stack):
+            members.extend(lam for lam, _ in stack)
+            return _real(data, K, config, stack)
+
+        monkeypatch.setattr(mle, "_fit_grid", counting)
+        monkeypatch.setattr(mle, "_run_stack", stacking)
         cfg = MLConfig(lambda_l1=1.0, max_outer=10)
         selection = bic_select_lambda(data, 2, [0.4, 0.1, 0.4, 0.2], cfg)
-        assert fitted == [0.1, 0.2, 0.4]
+        # each distinct lambda reaches the runner once, as one member per
+        # restart
+        assert grids == [[0.1, 0.2, 0.4]]
+        assert members == [0.1, 0.2, 0.4]
         assert [row["lambda"] for row in selection.table] == [0.1, 0.2, 0.4]
         n_obs = data.n_observed
         for row in selection.table:
@@ -707,6 +756,89 @@ class TestBicSelection:
         best = min(selection.table, key=lambda row: row["bic"])
         assert selection.lambda_l1 == best["lambda"]
         assert selection.trace.n_outer == best["n_outer"]
+
+    @staticmethod
+    def assert_separate_fits(selection, data, K, grid, cfg):
+        """The selection's table, winner and trace equal those of one fit_ml
+        per lambda, bitwise."""
+        fits = {lam: fit_ml(data, K, dataclasses.replace(cfg, lambda_l1=lam))
+                for lam in sorted(set(grid))}
+        for row in selection.table:
+            model, trace = fits[row["lambda"]]
+            df = int(np.count_nonzero(model.W)) + K * data.N + data.Q
+            assert row["log_likelihood"] == log_likelihood(model, data)
+            assert row["df"] == df
+            assert row["bic"] == -2.0 * row["log_likelihood"] + df * np.log(data.n_observed)
+            assert row["n_outer"] == trace.n_outer
+        model, trace = fits[selection.lambda_l1]
+        for name in ("W", "C", "mu"):
+            assert np.array_equal(getattr(selection.model, name), getattr(model, name))
+        assert np.array_equal(selection.trace.objectives, trace.objectives)
+        assert selection.trace.final_objective == trace.final_objective
+        assert selection.trace.n_outer == trace.n_outer
+        assert selection.trace.restart_index == trace.restart_index
+
+    @pytest.mark.parametrize("link,p_obs", [(LinkKind.LOGIT, 0.7),
+                                            (LinkKind.PROBIT, 1.0)])
+    def test_members_are_independent(self, link, p_obs):
+        _, data = generate_synthetic(SynthConfig(Q=14, N=16, K=2, p_obs=p_obs,
+                                                 link=link, seed=14))
+        cfg = MLConfig(lambda_l1=1.0, max_outer=20, outer_tol=0.0, restarts=3,
+                       seed=4, link=link)
+        grid = [0.1, 0.3, 0.9, 2.7]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            selection = bic_select_lambda(data, 2, grid, cfg)
+        self.assert_separate_fits(selection, data, 2, grid, cfg)
+
+    def test_members_leave_the_stack_at_their_own_stop(self):
+        _, data = generate_synthetic(SynthConfig(Q=14, N=16, K=2, p_obs=0.8,
+                                                 link=LinkKind.LOGIT, seed=15))
+        cfg = MLConfig(lambda_l1=1.0, max_outer=60, outer_tol=1e-3, restarts=2,
+                       seed=6, link=LinkKind.LOGIT)
+        grid = [0.05, 0.2, 0.8, 3.2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            selection = bic_select_lambda(data, 2, grid, cfg)
+        # the members stopped at different outer iterations, all before the cap
+        n_outer = [row["n_outer"] for row in selection.table]
+        assert len(set(n_outer)) > 1 and max(n_outer) < cfg.max_outer
+        self.assert_separate_fits(selection, data, 2, grid, cfg)
+
+    def test_threaded_stacks_match_one_stack(self, monkeypatch):
+        # 4 lambdas x 2 restarts of 34 x 99 logit: one stack of 8 members
+        # serially, two stacks of 4 on two threads
+        _, data = generate_synthetic(SynthConfig(Q=34, N=99, K=5, p_obs=0.9,
+                                                 link=LinkKind.LOGIT, seed=16))
+        cfg = MLConfig(lambda_l1=1.0, max_outer=15, outer_tol=1e-5, restarts=2,
+                       seed=7, link=LinkKind.LOGIT)
+        grid = [2.0, 4.0, 8.0, 12.0]
+        stacks = []
+
+        def recording(data, K, config, members, _real=mle._run_stack):
+            stacks.append(len(members))
+            return _real(data, K, config, members)
+
+        monkeypatch.setattr(mle, "_run_stack", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            serial = bic_select_lambda(data, 5, grid, cfg, n_threads=1)
+            # switch threads often so that stacks sharing any scratch state
+            # would interleave inside a phase
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threaded = bic_select_lambda(data, 5, grid, cfg, n_threads=2)
+            finally:
+                sys.setswitchinterval(interval)
+        assert stacks == [8, 4, 4]
+        assert serial.table == threaded.table
+        assert serial.lambda_l1 == threaded.lambda_l1
+        for name in ("W", "C", "mu"):
+            assert np.array_equal(getattr(serial.model, name),
+                                  getattr(threaded.model, name))
+        assert np.array_equal(serial.trace.objectives, threaded.trace.objectives)
+        assert serial.trace.restart_index == threaded.trace.restart_index
 
     def test_edge_choice_warns(self):
         truth, data = generate_synthetic(
