@@ -1,11 +1,6 @@
 """Sparse non-negative factor analysis of binary graded-response data."""
 
-from .bayes import (
-    PosteriorSummary,
-    SpikeSlabHyperparams,
-    posterior_point_estimates,
-    run_gibbs,
-)
+from .bayes import PosteriorSummary, posterior_point_estimates, run_gibbs
 from .evaluate import EvalReport, eval_metrics, predict_heldout
 from .ksvd import KsvdConfig, fit_ksvd
 from .links import LinkKind
@@ -26,7 +21,6 @@ __all__ = [
     "MLConfig",
     "PosteriorSummary",
     "ResponseMatrix",
-    "SpikeSlabHyperparams",
     "SynthConfig",
     "TagMatrix",
     "bic_select_lambda",

@@ -1,10 +1,13 @@
 """Bayesian estimation of the factorization with spike-slab sparsity.
 
-The sampler targets the posterior of the probit model with priors
+The sampler targets the posterior of the probit model with the fixed priors
 
     W[i,k] ~ r_k Exp(lambda_k) + (1 - r_k) delta_0
     lambda_k ~ Gamma(alpha, beta),  r_k ~ Beta(e, f)
     c_j ~ N(0, V),  V ~ InvWishart(V0, h),  mu_i ~ N(mu0, v_mu)
+
+where alpha = 1, beta = 1.5, e = 1, f = 1.5, v_mu = 1, V0 = I_K, h = K + 1,
+and mu0 is the probit pull-back of the observed correct rate.
 
 One sweep draws, in order: the latent slack values (sign-constrained by
 the observed responses), the difficulties, the learner knowledge columns,
@@ -22,40 +25,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
 from .links import LinkKind
-from .model import FactorModel, ResponseMatrix
+from .model import Dimensions, FactorModel, ResponseMatrix, check_count
 
 _TAIL_THRESHOLD = 4.0
 _PD_JITTER = 1e-10
 _R_CLIP = 1e-12
-
-
-@dataclass
-class SpikeSlabHyperparams:
-    """Prior hyperparameters; None fields resolve to data-driven defaults
-    (v0 -> identity, h -> K+1, mu0 -> probit pull-back of the observed
-    correct rate)."""
-
-    alpha: float = 1.0
-    beta: float = 1.5
-    e: float = 1.0
-    f: float = 1.5
-    v0: np.ndarray | None = None
-    h: float | None = None
-    mu0: float | None = None
-    v_mu: float = 1.0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "e", "f", "v_mu"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
+# the fixed prior of the module docstring; V0 = I_K and h = K + 1 follow
+# from K, and mu0 from the data (_resolve)
+_ALPHA, _BETA = 1.0, 1.5
+_E, _F = 1.0, 1.5
+_V_MU = 1.0
 
 
 @dataclass
@@ -245,13 +230,13 @@ def step_slack(state: GibbsState, data: ResponseMatrix, rng):
             np.put(state.Z, cells, sample_truncnorm(mean[cells], 1.0, side, rng))
 
 
-def step_difficulty(state: GibbsState, data: ResponseMatrix, hyper_resolved, rng):
-    """Conjugate normal update of the per-question difficulty."""
-    mu0, v_mu = hyper_resolved.mu0, hyper_resolved.v_mu
+def step_difficulty(state: GibbsState, data: ResponseMatrix, mu0: float, rng):
+    """Conjugate normal update of the per-question difficulty, whose
+    prior mean is mu0."""
     obs = data.observed
-    v = 1.0 / (1.0 / v_mu + obs.row_counts)
+    v = 1.0 / (1.0 / _V_MU + obs.row_counts)
     resid = ((state.Z - state.W @ state.C) * obs.float_mask).sum(axis=1)
-    m = v * (mu0 / v_mu + resid)
+    m = v * (mu0 / _V_MU + resid)
     state.mu[:] = m + np.sqrt(v) * rng.standard_normal(m.shape)
 
 
@@ -288,15 +273,14 @@ def step_knowledge(state: GibbsState, data: ResponseMatrix, rng):
     state.C[:] = (means + noise).T
 
 
-def step_covariance(state: GibbsState, hyper_resolved, rng):
+def step_covariance(state: GibbsState, rng):
     """Inverse-Wishart update of the knowledge covariance, with a trace
     jitter guarding the Gram matrix against losing definiteness."""
-    v0, h = hyper_resolved.v0, hyper_resolved.h
-    N = state.C.shape[1]
-    scale = v0 + state.C @ state.C.T
+    K, N = state.C.shape
+    scale = np.eye(K) + state.C @ state.C.T
     scale = 0.5 * (scale + scale.T)
-    scale += _PD_JITTER * np.trace(scale) * np.eye(scale.shape[0])
-    state.V[:] = sample_inv_wishart(scale, N + h, rng)
+    scale += _PD_JITTER * np.trace(scale) * np.eye(K)
+    state.V[:] = sample_inv_wishart(scale, N + (K + 1.0), rng)
 
 
 def step_weights(state: GibbsState, data: ResponseMatrix, rng):
@@ -340,81 +324,50 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng):
         state.activity[:, k] = act
 
 
-def step_rates(state: GibbsState, hyper_resolved, rng):
+def step_rates(state: GibbsState, rng):
     """Gamma update of the per-concept exponential slab rates."""
-    hyper = hyper_resolved.hyper
     b = np.count_nonzero(state.W, axis=0)
     colsum = state.W.sum(axis=0)
-    state.lam[:] = rng.gamma(hyper.alpha + b, 1.0 / (hyper.beta + colsum))
+    state.lam[:] = rng.gamma(_ALPHA + b, 1.0 / (_BETA + colsum))
 
 
-def step_inclusion(state: GibbsState, hyper_resolved, rng):
+def step_inclusion(state: GibbsState, rng):
     """Beta update of the per-concept inclusion rates."""
-    hyper = hyper_resolved.hyper
     Q = state.W.shape[0]
     b = np.count_nonzero(state.W, axis=0)
-    state.r[:] = np.clip(rng.beta(hyper.e + b, hyper.f + Q - b), _R_CLIP,
-                         1.0 - _R_CLIP)
+    state.r[:] = np.clip(rng.beta(_E + b, _F + Q - b), _R_CLIP, 1.0 - _R_CLIP)
 
 
-class _Resolved(NamedTuple):
-    v0: np.ndarray
-    h: float
-    mu0: float
-    v_mu: float
-    hyper: SpikeSlabHyperparams
+def _resolve(data: ResponseMatrix) -> float:
+    """The prior mean mu0 of the difficulties: the probit pull-back of the
+    observed correct rate, clipped away from 0 and 1, or 0 when no cell
+    is observed."""
+    if data.n_observed == 0:
+        return 0.0
+    rate = float(data.entries[data.mask].mean())
+    rate = min(max(rate, 1e-6), 1.0 - 1e-6)
+    return float(special.ndtri(rate))
 
 
-def _resolve(hyper: SpikeSlabHyperparams, K: int,
-             data: ResponseMatrix) -> _Resolved:
-    """Validate hyper for K concepts and fill its None fields with the
-    data-driven defaults."""
-    v0 = np.eye(K) if hyper.v0 is None else np.asarray(hyper.v0, dtype=float)
-    if v0.shape != (K, K):
-        raise ValueError(f"v0 must be {K} x {K}")
-    if not np.isfinite(v0).all():
-        raise ValueError("v0 must be finite")
-    if not np.allclose(v0, v0.T):
-        raise ValueError("v0 must be symmetric")
-    if np.linalg.eigvalsh(v0)[0] <= 0:
-        raise ValueError("v0 must be positive definite")
-    h = float(K + 1) if hyper.h is None else float(hyper.h)
-    if not (math.isfinite(h) and h > K - 1):
-        raise ValueError("h must be finite and exceed K - 1")
-    if hyper.mu0 is not None:
-        mu0 = float(hyper.mu0)
-        if not math.isfinite(mu0):
-            raise ValueError("mu0 must be finite")
-    elif data.n_observed > 0:
-        rate = float(data.entries[data.mask].mean())
-        rate = min(max(rate, 1e-6), 1.0 - 1e-6)
-        mu0 = float(special.ndtri(rate))
-    else:
-        mu0 = 0.0
-    return _Resolved(v0, h, mu0, hyper.v_mu, hyper)
-
-
-def _sweep(state: GibbsState, data: ResponseMatrix, resolved: _Resolved, rng):
+def _sweep(state: GibbsState, data: ResponseMatrix, mu0: float, rng):
     step_slack(state, data, rng)
-    step_difficulty(state, data, resolved, rng)
+    step_difficulty(state, data, mu0, rng)
     step_knowledge(state, data, rng)
-    step_covariance(state, resolved, rng)
+    step_covariance(state, rng)
     step_weights(state, data, rng)
-    step_rates(state, resolved, rng)
-    step_inclusion(state, resolved, rng)
+    step_rates(state, rng)
+    step_inclusion(state, rng)
     return state
 
 
-def _initial_state(data: ResponseMatrix, K: int, resolved: _Resolved,
-                   rng) -> GibbsState:
-    hyper = resolved.hyper
-    v0, h, mu0, v_mu = resolved.v0, resolved.h, resolved.mu0, resolved.v_mu
+def _initial_state(data: ResponseMatrix, K: int, mu0: float, rng) -> GibbsState:
+    """A draw of every quantity from its prior; the slack starts at 0."""
     Q, N = data.Q, data.N
-    lam = rng.gamma(hyper.alpha, 1.0 / hyper.beta, K)
-    r = np.clip(rng.beta(hyper.e, hyper.f, K), _R_CLIP, 1.0 - _R_CLIP)
-    V = sample_inv_wishart(v0, h, rng)
+    lam = rng.gamma(_ALPHA, 1.0 / _BETA, K)
+    r = np.clip(rng.beta(_E, _F, K), _R_CLIP, 1.0 - _R_CLIP)
+    V = sample_inv_wishart(np.eye(K), K + 1.0, rng)
     C = np.linalg.cholesky(V) @ rng.standard_normal((K, N))
-    mu = mu0 + math.sqrt(v_mu) * rng.standard_normal(Q)
+    mu = mu0 + math.sqrt(_V_MU) * rng.standard_normal(Q)
     active = rng.random((Q, K)) < r
     vals = rng.exponential(1.0, (Q, K)) / lam
     W = np.where(active, vals, 0.0)
@@ -430,27 +383,25 @@ def _initial_state(data: ResponseMatrix, K: int, resolved: _Resolved,
     )
 
 
-def run_gibbs(data: ResponseMatrix, K: int,
-              hyper: SpikeSlabHyperparams | None = None,
-              burn_in: int = 30_000, n_samples: int = 30_000,
-              rng=None) -> PosteriorSummary:
-    """Run the sampler and summarize the retained draws.
+def run_gibbs(data: ResponseMatrix, K: int, burn_in: int = 30_000,
+              n_samples: int = 30_000, rng=None) -> PosteriorSummary:
+    """Run the sampler under the fixed prior and summarize the retained
+    draws.
 
     The 30k/30k default matches the long-run protocol; desk-scale
     experiments typically use a couple of thousand each.  Statistics are
-    accumulated over the post-burn-in sweeps only.  The hyperparameters
-    are resolved and validated once per run, not once per sweep.
+    accumulated over the post-burn-in sweeps only.  K, burn_in and
+    n_samples must be integers >= 1.
     """
-    if burn_in < 1 or n_samples < 1:
-        raise ValueError("burn_in and n_samples must be >= 1")
-    if hyper is None:
-        hyper = SpikeSlabHyperparams()
+    Dimensions(data.Q, data.N, K)
+    check_count("burn_in", burn_in)
+    check_count("n_samples", n_samples)
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    resolved = _resolve(hyper, K, data)
-    state = _initial_state(data, K, resolved, rng)
+    mu0 = _resolve(data)
+    state = _initial_state(data, K, mu0, rng)
     for _ in range(burn_in):
-        _sweep(state, data, resolved, rng)
+        _sweep(state, data, mu0, rng)
     w_sum = np.zeros_like(state.W)
     w_sq = np.zeros_like(state.W)
     c_sum = np.zeros_like(state.C)
@@ -459,7 +410,7 @@ def run_gibbs(data: ResponseMatrix, K: int,
     mu_sq = np.zeros_like(state.mu)
     act_sum = np.zeros_like(state.activity)
     for _ in range(n_samples):
-        _sweep(state, data, resolved, rng)
+        _sweep(state, data, mu0, rng)
         w_sum += state.W
         w_sq += state.W * state.W
         c_sum += state.C

@@ -10,7 +10,6 @@ over W columns and C rows jointly).  Difficulties are compared raw.
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,8 +17,6 @@ from scipy import optimize as sopt
 
 from .links import inv_link
 from .model import FactorModel, ResponseMatrix
-
-_EXHAUSTIVE_LIMIT = 10
 
 
 @dataclass(frozen=True)
@@ -51,25 +48,14 @@ def match_permutation(W_true, W_est, C_true, C_est):
     """Concept relabeling that best aligns the estimate with the truth.
 
     Maximizes the summed cosine similarity of matched W columns plus
-    matched C rows.  Exhaustive search up to K=10 concepts; larger K
-    falls back to the assignment solver (same optimum, documented
-    fallback).  Returns perm with perm[a] = estimate concept matched to
-    truth concept a.
+    matched C rows with the assignment solver.  Returns perm with
+    perm[a] = estimate concept matched to truth concept a.
     """
     Wt = _unit_columns(np.asarray(W_true, dtype=float))
     We = _unit_columns(np.asarray(W_est, dtype=float))
     Ct = _unit_rows(np.asarray(C_true, dtype=float))
     Ce = _unit_rows(np.asarray(C_est, dtype=float))
-    K = Wt.shape[1]
     score = Wt.T @ We + Ct @ Ce.T  # score[a, b]: truth a vs estimate b
-    if K <= _EXHAUSTIVE_LIMIT:
-        best, best_val = None, -np.inf
-        idx = np.arange(K)
-        for perm in itertools.permutations(range(K)):
-            val = float(score[idx, perm].sum())
-            if val > best_val:
-                best, best_val = perm, val
-        return np.asarray(best, dtype=int)
     _, cols = sopt.linear_sum_assignment(-score)
     return np.asarray(cols, dtype=int)
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .links import LinkKind, hazard, log_inv_link, scalar_lipschitz
-from .model import Dimensions, FactorModel, ResponseMatrix, log_likelihood
+from .model import (Dimensions, FactorModel, ResponseMatrix, check_count,
+                    log_likelihood)
 
 _L_FLOOR = 1e-12
 # the members of one fit (its restarts, and with a lambda grid every
@@ -444,26 +445,27 @@ def _run_stack(data, K, config, members):
 
 
 def _chunks(n_members, cells, link, n_threads):
-    """Split member positions 0..n_members-1 into contiguous stacks.
+    """Deal member positions 0..n_members-1 round-robin into stacks.
 
     A stack holds at most max(1, _BATCH_CELLS // cells) members.  With
     n_threads > 1 the split grows to min(n_threads, n_members) stacks
     while each still holds at least _SERIAL_RESTART_CELLS[link] cells.
+    Dealing, rather than cutting the (lambda, restart) order into runs,
+    spreads the small lambdas, which run the most outer iterations, over
+    the stacks.
     """
     n = -(-n_members // max(1, _BATCH_CELLS // cells))
     while (n < min(n_threads, n_members)
            and n_members // (n + 1) * cells >= _SERIAL_RESTART_CELLS[link]):
         n += 1
-    return np.array_split(np.arange(n_members), n)
+    return [np.arange(s, n_members, n) for s in range(n)]
 
 
 def _fit_grid(data, K, config, lambdas, n_threads):
     """Fit every (lambda, restart) member, config.restarts random starts
     (seeded from config.seed, the same for every lambda) per lambda, and
     return each lambda's best restart as (model, trace), in order."""
-    if (isinstance(n_threads, bool) or not isinstance(n_threads, numbers.Integral)
-            or n_threads < 1):
-        raise ValueError(f"n_threads must be an integer >= 1, not {n_threads!r}")
+    check_count("n_threads", n_threads)
     if data.n_observed == 0:
         raise ValueError("cannot fit: no observed responses")
     Dimensions(data.Q, data.N, K)
@@ -481,7 +483,10 @@ def _fit_grid(data, K, config, lambdas, n_threads):
             stacks = list(pool.map(run, chunks))
     else:
         stacks = [run(chunk) for chunk in chunks]
-    results = [fit for stack in stacks for fit in stack]
+    results = [None] * len(members)
+    for chunk, stack in zip(chunks, stacks):
+        for m, fit in zip(chunk, stack):
+            results[m] = fit
 
     fits = []
     for start in range(0, len(results), config.restarts):

@@ -12,6 +12,7 @@ difficulty matrix mu * 1^T is never materialized.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -26,6 +27,14 @@ def _frozen_array(values, dtype=float):
     return arr
 
 
+def check_count(name, value):
+    """Raise ValueError naming the argument unless value is an integer
+    >= 1 (a bool is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < 1):
+        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+
+
 @dataclass(frozen=True)
 class Dimensions:
     """Problem dimensions; warns when K is not small relative to Q and N."""
@@ -36,8 +45,7 @@ class Dimensions:
 
     def __post_init__(self):
         for name in ("Q", "N", "K"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be a positive integer")
+            check_count(name, getattr(self, name))
         if self.K > min(self.Q, self.N):
             warnings.warn(
                 f"concept count K={self.K} exceeds min(Q, N)="

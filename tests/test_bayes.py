@@ -15,7 +15,6 @@ from scipy import integrate, stats
 import gradefactor
 from gradefactor.bayes import (
     GibbsState,
-    SpikeSlabHyperparams,
     _initial_state,
     _resolve,
     _sweep,
@@ -197,17 +196,16 @@ class TestWPosteriorStats:
 
 def make_state(data, K, seed):
     rng = np.random.default_rng(seed)
-    resolved = _resolve(SpikeSlabHyperparams(), K, data)
-    return _initial_state(data, K, resolved, rng), rng
+    return _initial_state(data, K, _resolve(data), rng), rng
 
 
 class TestSweepInvariants:
     def test_invariants_hold_over_sweeps(self):
         truth, data = generate_synthetic(SynthConfig(Q=8, N=6, K=2, p_obs=0.8, seed=7))
-        resolved = _resolve(SpikeSlabHyperparams(), 2, data)
+        mu0 = _resolve(data)
         state, rng = make_state(data, 2, 8)
         for _ in range(100):
-            _sweep(state, data, resolved, rng)
+            _sweep(state, data, mu0, rng)
             state.validate(data)
 
     def test_slack_sign_consistency(self):
@@ -250,7 +248,7 @@ class TestStateValidation:
     def _swept_state(self):
         truth, data = generate_synthetic(SynthConfig(Q=6, N=5, K=2, p_obs=0.8, seed=29))
         state, rng = make_state(data, 2, 30)
-        _sweep(state, data, _resolve(SpikeSlabHyperparams(), 2, data), rng)
+        _sweep(state, data, _resolve(data), rng)
         state.validate(data)
         return state, data
 
@@ -266,12 +264,10 @@ class TestStateValidation:
         # python -O strips assert statements; the checks must survive it
         script = textwrap.dedent("""
             import numpy as np
-            from gradefactor.bayes import (SpikeSlabHyperparams, _initial_state,
-                                           _resolve)
+            from gradefactor.bayes import _initial_state, _resolve
             from gradefactor.synth import SynthConfig, generate_synthetic
             truth, data = generate_synthetic(SynthConfig(Q=6, N=5, K=2, seed=29))
-            resolved = _resolve(SpikeSlabHyperparams(), 2, data)
-            state = _initial_state(data, 2, resolved, np.random.default_rng(30))
+            state = _initial_state(data, 2, _resolve(data), np.random.default_rng(30))
             state.W[0, 0] = -0.5
             try:
                 state.validate(data)
@@ -291,52 +287,37 @@ class TestStateValidation:
         assert proc.stdout.startswith("rejected:")
 
 
-class TestHyperparams:
-    @pytest.mark.parametrize("field", ["alpha", "beta", "e", "f", "v_mu"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0])
-    def test_non_positive_or_non_finite_rejected(self, field, value):
-        with pytest.raises(ValueError, match=field):
-            SpikeSlabHyperparams(**{field: value})
-
-    @pytest.mark.parametrize("field", ["h", "mu0"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_resolve_rejects_non_finite(self, field, value):
-        hyper = SpikeSlabHyperparams(**{field: value})
-        with pytest.raises(ValueError, match=field):
-            _resolve(hyper, 2, ResponseMatrix(np.ones((1, 1))))
-
-
 class TestConjugateSteps:
     def test_difficulty_posterior_matches_closed_form(self):
+        # the fixed prior: mu0 is the probit pull-back of the observed
+        # correct rate and v_mu = 1
         truth, data = generate_synthetic(SynthConfig(Q=4, N=12, K=2, p_obs=0.7, seed=13))
-        hyper = SpikeSlabHyperparams(mu0=0.4, v_mu=2.0)
+        mu0 = stats.norm.ppf(data.entries[data.mask].mean())
         state, rng = make_state(data, 2, 14)
-        resolved = _resolve(hyper, 2, data)
         state.Z[data.mask] = np.random.default_rng(15).normal(size=data.n_observed)
         maskf = data.mask.astype(float)
         n_prime = maskf.sum(axis=1)
-        v = 1.0 / (1.0 / 2.0 + n_prime)
+        v = 1.0 / (1.0 + n_prime)
         resid = ((state.Z - state.W @ state.C) * maskf).sum(axis=1)
-        expected_mean = v * (0.4 / 2.0 + resid)
+        expected_mean = v * (mu0 + resid)
         n_draws = 20_000
         draws = np.empty((n_draws, 4))
         for t in range(n_draws):
-            step_difficulty(state, data, resolved, rng)
+            step_difficulty(state, data, _resolve(data), rng)
             draws[t] = state.mu
         mc_se = np.sqrt(v / n_draws)
         assert (np.abs(draws.mean(axis=0) - expected_mean) <= 3.0 * mc_se).all()
 
     def test_covariance_step_matches_inverse_gamma_oracle(self):
         # K = 1 reduction: IW(scale, df) is InvGamma(df/2, scale/2)
+        # under the fixed prior V0 = I and h = K + 1
         truth, data = generate_synthetic(SynthConfig(Q=5, N=6, K=1, seed=16))
-        hyper = SpikeSlabHyperparams()
         state, rng = make_state(data, 1, 17)
-        resolved = _resolve(hyper, 1, data)
-        scale = float(resolved.v0[0, 0] + (state.C @ state.C.T).item())
-        df = data.N + resolved.h
+        scale = float(1.0 + (state.C @ state.C.T).item())
+        df = data.N + 2.0
         draws = np.empty(10_000)
         for t in range(10_000):
-            step_covariance(state, resolved, rng)
+            step_covariance(state, rng)
             draws[t] = state.V[0, 0]
         oracle_rng = np.random.default_rng(18)
         # jitter shifts the scale: reproduce it exactly
@@ -403,6 +384,19 @@ class TestRunGibbs:
         with pytest.raises(ValueError):
             run_gibbs(data, 1, burn_in=0, n_samples=10, rng=0)
 
+    @pytest.mark.parametrize("name,value", [
+        ("K", 0), ("K", -1), ("K", 2.5), ("K", True),
+        ("burn_in", 0), ("burn_in", 2.5), ("burn_in", True),
+        ("n_samples", -3), ("n_samples", 2.5), ("n_samples", np.float64(4.0)),
+    ])
+    def test_bad_sizes_rejected_by_name(self, name, value):
+        # found before any draw, with a message naming the argument
+        truth, data = generate_synthetic(SynthConfig(Q=4, N=4, K=1, seed=26))
+        sizes = {"K": 1, "burn_in": 2, "n_samples": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+            run_gibbs(data, sizes["K"], burn_in=sizes["burn_in"],
+                      n_samples=sizes["n_samples"], rng=0)
+
 
 # Posterior summaries of a 20 + 20 sweep chain: (sum, flat entries 0 and 7,
 # last entry) of each field.  A change to the arithmetic or the RNG order of
@@ -449,13 +443,13 @@ class TestChainPinned:
         data = pinned_instance(p_obs)
         summary = run_gibbs(data, 3, burn_in=20, n_samples=20, rng=32)
         rng = np.random.default_rng(32)
-        resolved = _resolve(SpikeSlabHyperparams(), 3, data)
-        state = _initial_state(data, 3, resolved, rng)
+        mu0 = _resolve(data)
+        state = _initial_state(data, 3, mu0, rng)
         for _ in range(20):
-            _sweep(state, data, resolved, rng)
+            _sweep(state, data, mu0, rng)
         sums = {"W": 0.0, "C": 0.0, "mu": 0.0, "activity": 0.0}
         for _ in range(20):
-            _sweep(state, data, resolved, rng)
+            _sweep(state, data, mu0, rng)
             for name in sums:
                 sums[name] = sums[name] + getattr(state, name)
         np.testing.assert_array_equal(summary.w_mean, sums["W"] / 20.0)

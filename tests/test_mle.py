@@ -539,9 +539,11 @@ class TestFit:
         # at most _BATCH_CELLS cells per stack unless one member is larger;
         # with threads, up to min(n_threads, members) stacks while each
         # keeps _SERIAL_RESTART_CELLS[link] cells
+        # the members are dealt round-robin: stack s holds s, s + n, ...
         chunks = mle._chunks(n_members, cells, link, n_threads)
         assert [len(c) for c in chunks] == sizes
-        assert np.array_equal(np.concatenate(chunks), np.arange(n_members))
+        for s, chunk in enumerate(chunks):
+            assert np.array_equal(chunk, np.arange(s, n_members, len(chunks)))
 
     @pytest.mark.parametrize("n_threads", [0, -2, 2.5, True])
     def test_bad_thread_count_rejected(self, n_threads):
@@ -551,6 +553,13 @@ class TestFit:
             fit_ml(data, 1, cfg, n_threads=n_threads)
         with pytest.raises(ValueError, match="n_threads"):
             bic_select_lambda(data, 1, [0.5, 1.0], cfg, n_threads=n_threads)
+
+    @pytest.mark.parametrize("K", [0, 2.5])
+    def test_bad_concept_count_rejected(self, K):
+        _, data = generate_synthetic(SynthConfig(Q=6, N=6, K=1, seed=9))
+        cfg = MLConfig(lambda_l1=1.0, max_outer=2)
+        with pytest.raises(ValueError, match="^K must be an integer >= 1"):
+            fit_ml(data, K, cfg)
 
     def test_best_restart_selected(self):
         truth, data = generate_synthetic(SynthConfig(Q=15, N=15, K=2, seed=7))

@@ -160,3 +160,9 @@ class TestPredictProb:
 def test_dimensions_warns_on_large_k():
     with pytest.warns(UserWarning):
         Dimensions(Q=4, N=5, K=6)
+
+
+@pytest.mark.parametrize("K", [0, -1, 2.5, np.float64(2.0), True, "2"])
+def test_dimensions_reject_k_that_is_not_a_positive_integer(K):
+    with pytest.raises(ValueError, match="^K must be an integer >= 1"):
+        Dimensions(Q=4, N=5, K=K)

@@ -1,11 +1,11 @@
 """Generator statistics, permutation matching, the error metrics against a
 scalar-loop oracle, and held-out prediction."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import optimize as sopt
 
 from gradefactor.evaluate import (
     eval_metrics,
@@ -87,20 +87,34 @@ class TestMatchPermutation:
         assert report.e_w == pytest.approx(0.0, abs=1e-24)
 
     def test_exhaustive_equals_assignment_solver(self):
+        # a brute force over every relabeling is the oracle
         rng = np.random.default_rng(67)
-        truth, _ = generate_synthetic(SynthConfig(Q=10, N=8, K=3, seed=68))
-        W_est = np.abs(rng.normal(size=(10, 3)))
-        C_est = rng.normal(size=(3, 8))
-        perm = match_permutation(truth.W, W_est, truth.C, C_est)
 
         def unit_cols(M):
             n = np.linalg.norm(M, axis=0, keepdims=True)
             return np.divide(M, n, out=np.zeros_like(M), where=n > 0)
 
-        score = (unit_cols(truth.W).T @ unit_cols(W_est)
-                 + unit_cols(truth.C.T).T @ unit_cols(C_est.T))
-        _, oracle = sopt.linear_sum_assignment(-score)
-        np.testing.assert_array_equal(perm, oracle)
+        for K in range(1, 7):
+            truth, _ = generate_synthetic(SynthConfig(Q=10, N=8, K=K, seed=68))
+            W_est = np.abs(rng.normal(size=(10, K)))
+            C_est = rng.normal(size=(K, 8))
+            perm = match_permutation(truth.W, W_est, truth.C, C_est)
+            score = (unit_cols(truth.W).T @ unit_cols(W_est)
+                     + unit_cols(truth.C.T).T @ unit_cols(C_est.T))
+            oracle = max(itertools.permutations(range(K)),
+                         key=lambda p: score[np.arange(K), p].sum())
+            np.testing.assert_array_equal(perm, oracle)
+
+    def test_recovers_noisy_shuffle_of_eleven_concepts(self):
+        # above ten concepts the same solver runs: a planted relabeling of
+        # a slightly perturbed truth is found
+        rng = np.random.default_rng(70)
+        truth, _ = generate_synthetic(SynthConfig(Q=40, N=30, K=11, seed=71))
+        shuffle = rng.permutation(11)
+        W_est = truth.W[:, shuffle] + 0.01 * np.abs(rng.normal(size=(40, 11)))
+        C_est = truth.C[shuffle, :] + 0.01 * rng.normal(size=(11, 30))
+        perm = match_permutation(truth.W, W_est, truth.C, C_est)
+        np.testing.assert_array_equal(shuffle[perm], np.arange(11))
 
 
 class TestEvalMetrics:
