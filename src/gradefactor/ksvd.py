@@ -16,15 +16,22 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .model import ResponseMatrix
+from .model import ResponseMatrix, masked_gram
 
 # atoms with norm below this are treated as dead and re-seeded
 _ATOM_NORM_TOL = 1e-10
+# a support Gram whose smallest eigenvalue is at most this fraction of its
+# largest counts as singular in nn_omp, which then refits that row by NNLS
+_RCOND = 1e-10
 
 
 @dataclass
 class KsvdConfig:
-    """n_concepts atoms; row_sparsity is a scalar budget or one per question."""
+    """n_concepts atoms; row_sparsity is a scalar budget or one per question.
+
+    n_concepts, max_iters and seed must be integers, and row_sparsity an
+    integer or a sequence of integers (a bool is none of these).
+    """
 
     n_concepts: int
     row_sparsity: object
@@ -32,18 +39,24 @@ class KsvdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_concepts", "max_iters"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
+        for name in ("n_concepts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.n_concepts < 1:
             raise ValueError("n_concepts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, not {self.seed}")
+        if np.asarray(self.row_sparsity).dtype.kind not in "iu":
+            raise ValueError("row_sparsity must be an integer or a sequence of "
+                             f"integers, not {self.row_sparsity!r}")
 
     def sparsity_vector(self, Q: int) -> np.ndarray:
-        s = np.asarray(self.row_sparsity, dtype=int)
+        s = np.asarray(self.row_sparsity)
         if s.ndim == 0:
-            s = np.full(Q, int(s))
+            s = np.full(Q, s)
         if s.shape != (Q,):
             raise ValueError("row_sparsity must be a scalar or length-Q vector")
         if (s < 0).any() or (s > self.n_concepts).any():
@@ -51,37 +64,76 @@ class KsvdConfig:
         return s
 
 
-def nn_omp(dictionary, target, s: int):
-    """Non-negative orthogonal matching pursuit.
+def nn_omp(dictionary, target, s, mask=None):
+    """Non-negative orthogonal matching pursuit of every target row at once.
 
-    Greedily picks the atom with the largest (signed, not absolute) inner
-    product with the residual, then refits all selected coefficients with
-    non-negative least squares.  Stops early once no remaining atom has a
-    positive inner product; with none at the first step the zero vector
-    comes back.
+    dictionary is K x N (the atoms are its rows).  target is one length-N
+    row or a Q x N stack; s is one budget or one per row; mask (the
+    target's shape, True where observed) restricts each row's inner
+    products and fits to its observed cells, and None observes every cell.
+    Returns (K,) coefficients for one row and Q x K for a stack.
+
+    Each row greedily picks the atom with the largest (signed, not
+    absolute) inner product with its residual, then refits all its
+    selected coefficients; it stops early once no remaining atom has a
+    positive inner product, so with none at the first step its row of
+    zeros comes back.  The work is in Gram form: with the row's masked
+    Gram G = sum_j m_j c_j c_j^T and b = sum_j m_j y_j c_j, the inner
+    products are b - G x, and one batched solve of G_SS x_S = b_S refits
+    every row's support S.  That least-squares solution is the
+    non-negative one whenever it is positive; a row whose solution has an
+    entry <= 0, or whose support Gram is singular (reciprocal condition
+    below _RCOND), is refitted by scipy's NNLS on its own observed cells.
     """
     D = np.asarray(dictionary, dtype=float)
-    target = np.asarray(target, dtype=float)
-    K = D.shape[0]
-    if s > K:
+    Y = np.asarray(target, dtype=float)
+    single = Y.ndim == 1
+    Y = Y.reshape(-1, D.shape[1])
+    mask = (np.ones(Y.shape, dtype=bool) if mask is None
+            else np.asarray(mask, dtype=bool).reshape(Y.shape))
+    Q, K = len(Y), D.shape[0]
+    budget = np.broadcast_to(s, (Q,))
+    if (budget > K).any():
         raise ValueError("sparsity budget exceeds the number of atoms")
-    coef = np.zeros(K)
-    if s == 0 or target.size == 0:
-        return coef
-    support: list[int] = []
-    residual = target.copy()
-    for _ in range(s):
-        scores = D @ residual
-        scores[support] = -np.inf
-        pick = int(np.argmax(scores))
-        if scores[pick] <= 0:
+    maskf = mask.astype(float)
+    gram = masked_gram(D, maskf)  # Q x K x K
+    b = (maskf * Y) @ D.T  # Q x K
+    coef = np.zeros((Q, K))
+    picked = np.zeros((Q, K), dtype=bool)
+    support = np.empty((Q, K), dtype=np.intp)  # each row's picks in order
+    rows = np.arange(Q)
+    for step in range(int(budget.max(initial=0))):
+        rows = rows[budget[rows] > step]
+        scores = b[rows] - (gram[rows] @ coef[rows, :, None])[:, :, 0]
+        scores[picked[rows]] = -np.inf
+        pick = scores.argmax(axis=1)
+        going = scores[np.arange(len(rows)), pick] > 0
+        rows, pick = rows[going], pick[going]
+        if not len(rows):
             break
-        support.append(pick)
-        sol, _ = optimize.nnls(D[support].T, target)
-        residual = target - D[support].T @ sol
-    if support:
-        coef[support] = sol
-    return coef
+        picked[rows, pick] = True
+        support[rows, step] = pick
+        S = support[rows, :step + 1]
+        sol, fits = _positive_solve(gram[rows[:, None, None], S[:, :, None], S[:, None, :]],
+                                    b[rows[:, None], S])
+        coef[rows] = 0.0
+        coef[rows[fits, None], S[fits]] = sol[fits]
+        for i, S_i in zip(rows[~fits], S[~fits]):
+            obs = mask[i]
+            coef[i, S_i], _ = optimize.nnls(D[S_i][:, obs].T, Y[i, obs])
+    return coef[0] if single else coef
+
+
+def _positive_solve(G, b):
+    """Solve each n x t x t system G x = b (b is n x t).  Returns x and a
+    boolean per system: True where G is nonsingular and x > 0."""
+    eig = np.linalg.eigvalsh(G)
+    fits = eig[:, 0] > _RCOND * eig[:, -1]
+    x = np.zeros(b.shape)
+    if fits.any():
+        x[fits] = np.linalg.solve(G[fits], b[fits, :, None])[:, :, 0]
+        fits &= (x > 0).all(axis=1)
+    return x, fits
 
 
 def dict_update_rank1(Y_sub, w_col, c_row, mask, n_iters: int = 3):
@@ -134,15 +186,9 @@ def fit_ksvd(data: ResponseMatrix, config: KsvdConfig):
 
     C = rng.standard_normal((K, N))
     C /= np.linalg.norm(C, axis=1, keepdims=True)
-    W = np.zeros((Q, K))
 
     for _ in range(config.max_iters):
-        for i in range(Q):
-            obs = data.mask[i]
-            if s[i] == 0 or not obs.any():
-                W[i] = 0.0
-                continue
-            W[i] = nn_omp(C[:, obs], Y[i, obs], int(s[i]))
+        W = nn_omp(C, Y, s, data.mask)
         for k in range(K):
             usage = W[:, k] > 0
             if not usage.any():

@@ -26,7 +26,7 @@ import numpy as np
 
 from .links import LinkKind, hazard, log_inv_link, scalar_lipschitz
 from .model import (Dimensions, FactorModel, ResponseMatrix, check_count,
-                    log_likelihood)
+                    log_likelihood, masked_gram)
 
 _L_FLOOR = 1e-12
 # the members of one fit (its restarts, and with a lambda grid every
@@ -40,11 +40,17 @@ _BATCH_CELLS = 32_768
 # a fit splits its members into stacks for a thread pool only while each
 # stack keeps at least this many cells: a smaller one spends its steps
 # mostly in Python overhead under the interpreter lock, so a second thread
-# adds contention, not speed.  Measured with 2 restarts on 2 threads
-# against 1 (BIC over 4 lambdas, 25 outer iterations), one restart per
-# thread: a second thread breaks even near 2000 cells for probit and 6000
-# for logit, whose cheaper kernels release the lock for less time.
-_SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 2_000, LinkKind.LOGIT: 6_000}
+# adds contention, not speed.  Probit breaks even near 2000 cells (2
+# restarts on 2 threads against 1, BIC over 4 lambdas, 25 outer
+# iterations).  No logit split measured paid, its cheaper kernels
+# releasing the lock for less time: with BLAS on one thread, 5 BIC fits
+# of 34 x 99 (4 lambdas x 2 restarts, 25 outer iterations) ran faster as
+# one stack of 8 on 1 thread than as two stacks of 4 (13464 cells each)
+# on 2 threads in 20 of 28 alternating rounds (medians 1.02 / 0.96 /
+# 1.13 s against 1.06 / 1.12 / 1.20 s in three sets), as did restarts in
+# one stack against one per thread (15 outer iterations): 2 at 80 x 100
+# and at 100 x 160 in 7 of 7 rounds each, 3 at 100 x 100 in 5 of 7.
+_SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 2_000, LinkKind.LOGIT: 16_384}
 
 
 @dataclass
@@ -284,16 +290,9 @@ def _row_lipschitz(C_aug, work, mu_w, link):
     """Gradient Lipschitz constant of every question-row subproblem: the
     hazard constant times the largest eigenvalue of the row's masked Gram
     sum_j mask[i, j] c_j c_j^T, plus mu_w, floored at _L_FLOOR."""
-    d = C_aug.shape[0]
-    N = work.obs.shape[1]
     # the first member's buf as the float observation mask
     maskf = work.obs.scatter(work.buf[0], 1.0)
-    # per-row Gram as one matmul of the stacked outer products with the
-    # mask, the contraction einsum("kj,ij,lj->ikl", optimize=True) runs,
-    # without its per-call path search; einsum's operand order keeps the
-    # result bitwise equal
-    outer = (C_aug[:, None, :] * C_aug[None, :, :]).reshape(d * d, -1)
-    gram = (_col_blocks(outer, N) @ maskf.T).transpose(0, 2, 1).reshape(-1, d, d)
+    gram = masked_gram(C_aug, maskf)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     return np.maximum(scalar_lipschitz(link) * sig2 + mu_w, _L_FLOOR)
 
@@ -310,13 +309,8 @@ def _col_lipschitz(W, work, link):
     """Gradient Lipschitz constant of every learner-column subproblem, from
     the column's masked Gram sum_i mask[i, j] w_i w_i^T (W without the
     difficulty column), floored at _L_FLOOR."""
-    K = W.shape[1]
-    Q = work.obs.shape[0]
     maskf = work.obs.scatter(work.buf[0], 1.0)  # as in _row_lipschitz
-    # per-column Gram as in _row_lipschitz: einsum("ik,ij,il->jkl") as one
-    # matmul
-    outer = (W.T[:, None, :] * W.T[None, :, :]).reshape(K * K, -1)
-    gram = (_col_blocks(outer, Q) @ maskf).transpose(0, 2, 1).reshape(-1, K, K)
+    gram = masked_gram(W.T, maskf.T)
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     return np.maximum(scalar_lipschitz(link) * sig2, _L_FLOOR)
 

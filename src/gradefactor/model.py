@@ -64,6 +64,23 @@ def _flat_cells(Z):
     return Z.reshape(len(Z), -1)
 
 
+def masked_gram(A, mask):
+    """Masked Gram matrices sum_j mask[i, j] a_j a_j^T of the columns a_j
+    of A, one per row i of the float m x n mask.
+
+    A is d x (B * n): B blocks of n columns side by side, each block one
+    member of a stack.  Returns B * m x d x d, block b's Gram for mask row
+    i at b * m + i.  Computed as one matmul of the stacked outer products
+    with the mask: the contraction einsum("kj,ij,lj->ikl", optimize=True)
+    runs, without its per-call path search; einsum's operand order keeps
+    the result bitwise equal.
+    """
+    d, n = A.shape[0], mask.shape[1]
+    outer = (A[:, None, :] * A[None, :, :]).reshape(d * d, -1)
+    blocks = outer.reshape(d * d, -1, n).transpose(1, 0, 2)
+    return (blocks @ mask.T).transpose(0, 2, 1).reshape(-1, d, d)
+
+
 @dataclass(frozen=True)
 class ObservedEntries:
     """The observed cells of a Q x N response matrix, in row-major order.
@@ -100,13 +117,32 @@ class ObservedEntries:
         """Write values into the observed cells of the C-contiguous Q x N
         array out, or of each matrix of a B x Q x N stack (values then
         B x n_observed); the other cells keep what they hold."""
-        flat = _flat_cells(out)
+        flat, index = _flat_cells(out), self.index
+        if flat.ndim == 2 and not isinstance(index, slice):
+            # one flat index into the whole stack: a 2-D fancy assignment
+            # runs several times slower
+            flat, index = out.reshape(-1), self._stack_index(len(flat))
         if flat.ndim == 1:
             # a 1 x n_observed value array would take a slower path
-            flat[self.index] = np.reshape(values, -1) if np.ndim(values) else values
+            flat[index] = np.reshape(values, -1) if np.ndim(values) else values
         else:
-            flat[:, self.index] = values
+            flat[:, index] = values
         return out
+
+    @functools.cached_property
+    def _stack_indices(self) -> dict:
+        return {}
+
+    def _stack_index(self, B):
+        """Read-only flat indices of the observed cells of every matrix of
+        a B x Q x N stack, built once per B."""
+        index = self._stack_indices.get(B)
+        if index is None:
+            Q, N = self.shape
+            index = (np.arange(B)[:, None] * (Q * N) + self.index).reshape(-1)
+            index.setflags(write=False)
+            self._stack_indices[B] = index
+        return index
 
     @functools.cached_property
     def float_mask(self) -> np.ndarray:
@@ -159,13 +195,9 @@ class ResponseMatrix:
         # NaN compares unequal to both, so it is rejected too
         if ((entries != 0.0) & (entries != 1.0) & mask).any():
             raise ValueError("observed entries must be 0 or 1")
-        # a new array, not zeroed in place: with the ML fit allocation-free,
-        # zeroing in place was measured again on the ml-sparse benchmark
-        # (6 pairs, medians, 2 vCPUs).  It lowered peak RSS from 205 to 192 MB, but
-        # setup_s (0.120 -> 0.125 s) and wall_s (1.76 -> 1.80 s) read worse,
-        # by less than their run-to-run spread; a time cost is not traded
-        # for memory here without a clearer measurement
-        entries = np.where(mask, entries, 0.0)
+        # np.array made entries a copy, so the unobserved cells (NaN among
+        # them) are zeroed in place rather than through a second Q x N copy
+        entries[~mask] = 0.0
         entries.setflags(write=False)
         mask.setflags(write=False)
         object.__setattr__(self, "entries", entries)

@@ -54,81 +54,95 @@ class TagMatrix:
 
 
 def _kkt_residual(T, w, a, eta):
+    """KKT residual of each column of a (M x P) for the targets w (Q x P)
+    and weights eta (P,): |gradient| on the active entries and its
+    negative part on the zero ones, maximized over the column."""
     grad = T.T @ (T @ a - w) + eta
-    active = a > 0
-    res = 0.0
-    if active.any():
-        res = float(np.abs(grad[active]).max())
-    if (~active).any():
-        res = max(res, float(np.maximum(-grad[~active], 0.0).max()))
-    return res
+    return np.where(a > 0, np.abs(grad), np.maximum(-grad, 0.0)).max(axis=0)
 
 
 def solve_bpdn_plus(T, w, eta):
-    """Minimize 0.5 ||w - T a||^2 + eta ||a||_1 over a >= 0.
+    """Minimize 0.5 ||w_p - T a_p||^2 + eta_p ||a_p||_1 over a_p >= 0 for
+    every column w_p of the Q x P stack w, with weight eta_p from the
+    length-P eta.  A length-Q w is one column and returns a length-M a; a
+    scalar eta weighs every column alike.
 
-    Accelerated projected gradient at constant step 1/sigma_max(T)^2 with
-    momentum restarts; iterates until the KKT residual drops below 1e-8
-    (well inside the 1e-6 contract) or 200 000 iterations are done.
+    Accelerated projected gradient at constant step 1/sigma_max(T)^2,
+    with all columns in one M x P array; each column restarts its own
+    momentum and stops on its own once its KKT residual, checked every 25
+    iterations, drops below 1e-8 (well inside the 1e-6 contract), or
+    after 200 000 iterations.
     """
     T = np.asarray(T, dtype=float)
     w = np.asarray(w, dtype=float)
-    if eta < 0:
+    targets = w.reshape(len(w), -1)
+    P = targets.shape[1]
+    eta = np.broadcast_to(np.asarray(eta, dtype=float), (P,))
+    if (eta < 0).any():
         raise ValueError("eta must be non-negative")
     M = T.shape[1]
     gram = T.T @ T
-    tw = T.T @ w
+    tw = T.T @ targets
     sig2 = float(max(np.linalg.eigvalsh(gram)[-1], 1e-12))
     t = 1.0 / sig2
 
-    x_prev = np.zeros(M)
-    u = np.zeros(M)
-    tau = 1.0
+    solution = np.zeros((M, P))
+    cols = np.arange(P)  # the columns still iterating
+    x_prev = np.zeros((M, P))
+    u = np.zeros((M, P))
+    tau = np.ones(P)
     for it in range(_MAX_ITERS):
-        grad = gram @ u - tw
-        x = np.maximum(u - t * (grad + eta), 0.0)
-        if (u - x) @ (x - x_prev) > 0:
-            # momentum points uphill: restart acceleration
-            tau = 1.0
-            u = x.copy()
-        else:
-            tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
-            u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
-            tau = tau_next
+        grad = gram @ u - tw[:, cols]
+        x = np.maximum(u - t * (grad + eta[cols]), 0.0)
+        # momentum pointing uphill restarts a column's acceleration
+        restart = np.einsum("mp,mp->p", u - x, x - x_prev) > 0
+        tau_next = np.where(restart, 1.0, 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau)))
+        u = x + np.where(restart, 0.0, (tau - 1.0) / tau_next) * (x - x_prev)
+        tau = tau_next
         x_prev = x
-        if it % 25 == 0 and _kkt_residual(T, w, x, eta) <= _KKT_TOL:
-            break
-    return x_prev
+        if it % 25 == 0:
+            done = _kkt_residual(T, targets[:, cols], x, eta[cols]) <= _KKT_TOL
+            solution[:, cols[done]] = x[:, done]
+            going = ~done
+            cols, x_prev, u, tau = cols[going], x[:, going], u[:, going], tau[going]
+            if not len(cols):
+                break
+    solution[:, cols] = x_prev
+    return solution[:, 0] if w.ndim == 1 else solution
 
 
 def default_eta_grid(T, w):
-    """Geometric grid below the smallest eta that zeroes the solution."""
-    eta_max = float(np.abs(np.asarray(T).T @ np.asarray(w)).max())
-    if eta_max <= 0:
-        return np.zeros(_N_ETAS)
-    return eta_max * np.geomspace(0.5, 1e-3, _N_ETAS)
+    """Geometric grid below the smallest eta that zeroes the solution, for
+    a length-Q w; for a Q x K stack, one grid per column (_N_ETAS x K)."""
+    eta_max = np.abs(np.asarray(T).T @ np.asarray(w)).max(axis=0)
+    steps = np.geomspace(0.5, 1e-3, _N_ETAS)
+    return eta_max * steps.reshape(steps.shape + (1,) * np.ndim(eta_max))
 
 
 def fit_tag_map(W, tag_matrix: TagMatrix):
-    """Estimate the M x K tag-to-concept map, one concept at a time.
+    """Estimate the M x K tag-to-concept map.
 
-    Each column scans a small eta grid and keeps the best-reconstructing
-    solution among those with at most three tags (falling back to the
-    sparsest grid solution when none qualifies), mirroring top-3 tag
-    readouts.
+    Each concept column scans a small eta grid and keeps the
+    best-reconstructing solution among those with at most three tags
+    (falling back to the sparsest grid solution when none qualifies),
+    mirroring top-3 tag readouts.  One solve_bpdn_plus call fits every
+    (concept, eta) pair.
     """
     W = np.asarray(W, dtype=float)
     T = tag_matrix.T
     if W.shape[0] != T.shape[0]:
         raise ValueError("W and the tag incidence must share the question axis")
     K = W.shape[1]
+    etas = default_eta_grid(T, W)  # _N_ETAS x K
+    # column k * _N_ETAS + e fits concept k at its e-th eta
+    fits = solve_bpdn_plus(T, np.repeat(W, _N_ETAS, axis=1), etas.T.reshape(-1))
+    fits = fits.reshape(tag_matrix.M, K, _N_ETAS)
     A = np.zeros((tag_matrix.M, K))
     for k in range(K):
         w_k = W[:, k]
         best, best_err = None, np.inf
         fallback, fallback_key = None, None
-        for cand in default_eta_grid(T, w_k):
-            a = solve_bpdn_plus(T, w_k, cand)
+        for cand, a in zip(etas[:, k], fits[:, k].T):
             nnz = int(np.count_nonzero(a))
             err = float(np.sum((w_k - T @ a) ** 2))
             if nnz <= _MAX_ACTIVE and err < best_err:

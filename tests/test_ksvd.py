@@ -7,8 +7,50 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from gradefactor import ksvd
 from gradefactor.ksvd import KsvdConfig, dict_update_rank1, fit_ksvd, nn_omp
 from gradefactor.model import ResponseMatrix
+
+
+def nn_omp_row_reference(D, target, s):
+    """One row of non-negative OMP as a loop: pick the atom with the
+    largest inner product with the residual, refit the support by NNLS."""
+    coef = np.zeros(D.shape[0])
+    support = []
+    residual = target.copy()
+    for _ in range(s):
+        scores = D @ residual
+        scores[support] = -np.inf
+        pick = int(np.argmax(scores))
+        if scores[pick] <= 0:
+            break
+        support.append(pick)
+        sol, _ = optimize.nnls(D[support].T, target)
+        residual = target - D[support].T @ sol
+        coef[support] = sol
+    return coef
+
+
+def assert_matches_row_loop(D, Y, s, mask):
+    got = nn_omp(D, Y, s, mask)
+    assert got.shape == (len(Y), len(D))
+    for i in range(len(Y)):
+        obs = mask[i]
+        ref = nn_omp_row_reference(D[:, obs], Y[i, obs], int(s[i]))
+        np.testing.assert_array_equal(got[i] != 0, ref != 0)
+        scale = max(1.0, float(np.abs(ref).max()))
+        np.testing.assert_allclose(got[i], ref, rtol=0, atol=1e-12 * scale)
+
+
+class CountingNnls:
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        real = optimize.nnls
+
+        def counting(*args, **kwargs):
+            self.calls += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(ksvd.optimize, "nnls", counting)
 
 
 class TestNnOmp:
@@ -56,6 +98,55 @@ class TestNnOmp:
             out = nn_omp(D, target, s)
             assert np.count_nonzero(out) <= s
             assert (out >= 0).all()
+
+
+class TestNnOmpStack:
+    def test_stack_equals_row_loop(self):
+        rng = np.random.default_rng(60)
+        for trial in range(60):
+            K, N, Q = (int(v) for v in rng.integers((2, 3, 1), (7, 40, 25)))
+            D = rng.normal(size=(K, N))
+            if trial % 3 == 0:
+                D[1] = D[0]  # a duplicated atom
+            Y = (rng.random((Q, N)) < 0.5).astype(float) if trial % 2 else rng.normal(size=(Q, N))
+            mask = rng.random((Q, N)) < rng.uniform(0.2, 1.0)
+            mask[0] = False  # a row with no observed cell
+            s = rng.integers(0, K + 1, size=Q)
+            s[-1] = 0
+            assert_matches_row_loop(D, Y, s, mask)
+
+    def test_negated_atom_forces_nnls_fallback(self, monkeypatch):
+        # atom 3 is -atom 0; this row picks both (by scores far from ties),
+        # so its support Gram is singular and NNLS must refit it
+        rng = np.random.default_rng(338)
+        D = rng.normal(size=(3, 9))
+        D = np.vstack([D, -D[0]])
+        y = rng.normal(size=9)
+        ref = nn_omp_row_reference(D, y, 4)
+        nnls = CountingNnls(monkeypatch)
+        got = nn_omp(D, y, 4)
+        assert nnls.calls >= 1
+        assert got[0] == 0 or got[3] == 0
+        np.testing.assert_array_equal(got != 0, ref != 0)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    def test_positive_refits_need_no_nnls(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        D = np.linalg.qr(rng.normal(size=(12, 4)))[0].T  # orthonormal atoms
+        W_true = rng.uniform(0.5, 2.0, size=(10, 4))
+        nnls = CountingNnls(monkeypatch)
+        got = nn_omp(D, W_true @ D, 4)
+        assert nnls.calls == 0
+        np.testing.assert_allclose(got, W_true, atol=1e-12)
+
+    def test_one_row_keeps_its_shape(self):
+        D = np.eye(3)
+        assert nn_omp(D, np.array([0.0, 2.0, 1.0]), 1).shape == (3,)
+        assert nn_omp(D, np.array([[0.0, 2.0, 1.0]]), 1).shape == (1, 3)
+
+    def test_budget_above_atom_count_rejected(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            nn_omp(np.eye(2), np.ones((3, 2)), [1, 3, 0])
 
 
 def masked_sse(Y, w, c, mask):
@@ -166,6 +257,18 @@ class TestFitKsvd:
         np.testing.assert_array_equal(W1, W2)
         np.testing.assert_array_equal(C1, C2)
 
+    def test_codes_every_question_in_one_call_per_iteration(self, monkeypatch):
+        calls = []
+        real = ksvd.nn_omp
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            return real(*args)
+        monkeypatch.setattr(ksvd, "nn_omp", counting)
+        data = ResponseMatrix(np.random.default_rng(38).integers(0, 2, (9, 7)).astype(float))
+        fit_ksvd(data, KsvdConfig(n_concepts=2, row_sparsity=1, max_iters=4))
+        assert calls == [(9, 7)] * 4
+
     def test_bad_sparsity_rejected(self):
         with pytest.raises(ValueError):
             KsvdConfig(n_concepts=2, row_sparsity=3).sparsity_vector(4)
@@ -180,3 +283,24 @@ class TestFitKsvd:
         kwargs = {"n_concepts": 2, "row_sparsity": 1, "max_iters": 3, field: value}
         with pytest.raises(ValueError, match=field):
             KsvdConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("row_sparsity", 2.7),
+    ("row_sparsity", [1.5, 2, 0.2, 3]),
+    ("row_sparsity", True),
+    ("row_sparsity", "2"),
+    ("seed", 1.5),
+    ("seed", True),
+    ("seed", -1),
+])
+def test_config_value_that_would_be_truncated_or_fail_later_rejected(field, value):
+    kwargs = {"n_concepts": 3, "row_sparsity": 1, field: value}
+    with pytest.raises(ValueError, match=field):
+        KsvdConfig(**kwargs)
+
+
+def test_integer_sparsity_vector_accepted():
+    cfg = KsvdConfig(n_concepts=3, row_sparsity=np.array([0, 3, 1], dtype=np.uint8))
+    assert cfg.sparsity_vector(3).tolist() == [0, 3, 1]
+    assert KsvdConfig(n_concepts=3, row_sparsity=np.int64(2)).sparsity_vector(2).tolist() == [2, 2]

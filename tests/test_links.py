@@ -13,11 +13,21 @@ from gradefactor.links import (
     inv_logit,
     inv_probit,
     log_inv_link,
+    log_inv_logit,
     log_inv_probit,
     logit_hazard,
     probit_hazard,
 )
 from gradefactor.model import FactorModel, ResponseMatrix, log_likelihood
+
+# an overflow or invalid operation inside a kernel fails the test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+
+def ulps(a, b):
+    """Distance in units in the last place between same-sign doubles."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return np.abs(a.view(np.int64) - b.view(np.int64))
 
 
 def normal_pdf(t):
@@ -171,6 +181,54 @@ class TestLogitHazard:
         y, z = rng.uniform(-20, 20, (2, 2000))
         lhs = np.abs(logit_hazard(y) - logit_hazard(z))
         assert (lhs <= 0.25 * np.abs(y - z) + 1e-12).all()
+
+
+class TestLogitKernelsAgainstScipy:
+    # numpy's vectorized exp and log1p in place of scipy's scalar loops
+    X = np.linspace(-1000.0, 1000.0, 400_001)
+    EXACT = np.linspace(-1000.0, 1000.0, 2001)
+
+    def test_hazard_matches_expit(self):
+        # both compute 1 / (1 + e^x), scipy with libm's exp; numpy's SIMD
+        # exp may differ from it by 1 ulp, which rounding 1 + e^x can
+        # turn into 3 (seen near x = 37)
+        assert ulps(logit_hazard(self.X), special.expit(-self.X)).max() <= 3
+
+    def test_hazard_within_two_ulp_of_exact(self):
+        getcontext().prec = 60
+        exact = np.array([float(1 / (1 + Decimal(float(x)).exp())) for x in self.EXACT])
+        got = logit_hazard(self.EXACT)
+        normal = exact >= np.finfo(float).tiny
+        assert ulps(got[normal], exact[normal]).max() <= 2
+        # past x = 709.78 e^x overflows, and the ratio is 0 as in scipy
+        np.testing.assert_array_equal(got[self.EXACT > 710], 0.0)
+
+    def test_log_inv_logit_matches_log_expit(self):
+        assert ulps(log_inv_logit(self.X), special.log_expit(self.X)).max() <= 2
+
+    def test_log_inv_logit_within_two_ulp_of_exact(self):
+        exact = []
+        for x in self.EXACT:
+            # enough digits that 1 + e^-x keeps e^-x for x up to 1000
+            getcontext().prec = 60 + int(max(x, 0.0) / 2.3)
+            exact.append(float(-(1 + (-Decimal(float(x))).exp()).ln()))
+        assert ulps(log_inv_logit(self.EXACT), exact).max() <= 2
+
+    @pytest.mark.parametrize("kernel", [logit_hazard, log_inv_logit])
+    def test_in_place_equals_out_of_place(self, kernel):
+        expected = kernel(self.X)
+        x = self.X.copy()
+        assert kernel(x, out=x) is x
+        assert x.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("kernel", [logit_hazard, log_inv_logit])
+    def test_scalar_in_scalar_out(self, kernel):
+        assert np.ndim(kernel(800.0)) == 0
+        assert kernel(0.0) == pytest.approx(0.5 if kernel is logit_hazard else -math.log(2.0))
+
+    def test_log_inv_logit_rejects_nan(self):
+        with pytest.raises(ValueError):
+            log_inv_logit(np.array([0.0, np.nan]))
 
 
 class TestInPlaceKernels:

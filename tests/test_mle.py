@@ -504,7 +504,8 @@ class TestFit:
         (LinkKind.PROBIT, 40, 49, False),
         (LinkKind.PROBIT, 40, 50, True),
         (LinkKind.LOGIT, 60, 99, False),
-        (LinkKind.LOGIT, 60, 100, True),
+        (LinkKind.LOGIT, 127, 129, False),
+        (LinkKind.LOGIT, 128, 128, True),
     ])
     def test_small_fits_run_restarts_serially(self, monkeypatch, link, Q, N, pooled):
         # two restarts split into one-restart stacks on the pool only when
@@ -525,15 +526,17 @@ class TestFit:
 
     @pytest.mark.parametrize("n_members,cells,link,n_threads,sizes", [
         (8, 3366, LinkKind.LOGIT, 1, [8]),
-        (8, 3366, LinkKind.LOGIT, 2, [4, 4]),
-        (8, 3366, LinkKind.LOGIT, 4, [2, 2, 2, 2]),
-        (8, 3366, LinkKind.LOGIT, 8, [2, 2, 2, 2]),
+        (8, 3366, LinkKind.LOGIT, 2, [8]),
+        (8, 3366, LinkKind.LOGIT, 4, [8]),
+        (8, 3366, LinkKind.LOGIT, 8, [8]),
         (10, 3366, LinkKind.LOGIT, 1, [5, 5]),
         (8, 10_000, LinkKind.LOGIT, 1, [3, 3, 2]),
         (3, 60_000, LinkKind.PROBIT, 1, [1, 1, 1]),
         (3, 60_000, LinkKind.PROBIT, 8, [1, 1, 1]),
         (5, 1_000, LinkKind.PROBIT, 8, [3, 2]),
         (1, 60_000, LinkKind.PROBIT, 2, [1]),
+        (8, 3366, LinkKind.PROBIT, 4, [2, 2, 2, 2]),
+        (4, 8192, LinkKind.LOGIT, 4, [2, 2]),
     ])
     def test_member_chunks(self, n_members, cells, link, n_threads, sizes):
         # at most _BATCH_CELLS cells per stack unless one member is larger;
@@ -816,7 +819,9 @@ class TestBicSelection:
 
     def test_threaded_stacks_match_one_stack(self, monkeypatch):
         # 4 lambdas x 2 restarts of 34 x 99 logit: one stack of 8 members
-        # serially, two stacks of 4 on two threads
+        # serially, two stacks of 4 on two threads once the logit split
+        # threshold lets 13464-cell stacks split
+        monkeypatch.setitem(mle._SERIAL_RESTART_CELLS, LinkKind.LOGIT, 13_464)
         _, data = generate_synthetic(SynthConfig(Q=34, N=99, K=5, p_obs=0.9,
                                                  link=LinkKind.LOGIT, seed=16))
         cfg = MLConfig(lambda_l1=1.0, max_outer=15, outer_tol=1e-5, restarts=2,

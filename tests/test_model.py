@@ -1,6 +1,8 @@
 """Response-matrix and factor-model contracts."""
 
+import concurrent.futures
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +46,48 @@ class TestResponseMatrix:
     def test_mask_shape_checked(self):
         with pytest.raises(ValueError):
             ResponseMatrix(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
+
+
+class TestObservedScatter:
+    @pytest.mark.parametrize("p_obs", [0.6, 1.0])
+    def test_stack_scatter_equals_one_matrix_at_a_time(self, p_obs):
+        rng = np.random.default_rng(64)
+        mask = rng.random((5, 7)) < p_obs
+        obs = ResponseMatrix(rng.integers(0, 2, (5, 7)), mask).observed
+        for B in (1, 3, 3, 4):  # the second B = 3 reuses the cached index
+            values = rng.normal(size=(B, obs.sign.size))
+            out = rng.normal(size=(B, 5, 7))
+            expected = out.copy()
+            for b in range(B):
+                obs.scatter(expected[b], values[b])
+            assert obs.scatter(out, values) is out
+            assert out.tobytes() == expected.tobytes()
+            obs.scatter(out, 2.5)
+            np.testing.assert_array_equal(out[:, mask], 2.5)
+
+    def test_threads_share_the_index_cache(self):
+        # stacks of different sizes scatter at once through one cache, with
+        # the interpreter switching threads as often as it can
+        rng = np.random.default_rng(65)
+        mask = rng.random((6, 9)) < 0.5
+        obs = ResponseMatrix(rng.integers(0, 2, (6, 9)), mask).observed
+
+        def work(B):
+            for _ in range(200):
+                values = np.arange(B * obs.sign.size, dtype=float).reshape(B, -1)
+                out = obs.scatter(np.zeros((B, 6, 9)), values)
+                if not np.array_equal(out[:, mask], values):
+                    return False
+            return True
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(work, 2 + i % 3) for i in range(6)]
+                assert all(f.result(timeout=60) for f in futures)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestFactorModel:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from gradefactor import tags
 from gradefactor.tags import (
     TagMatrix,
     concept_tag_percentages,
@@ -87,6 +88,32 @@ class TestSolveBpdnPlus:
             solve_bpdn_plus(np.eye(2), np.ones(2), -0.1)
 
 
+class TestSolveBpdnPlusStack:
+    def test_stack_equals_column_solves(self):
+        rng = np.random.default_rng(58)
+        for _ in range(15):
+            Q, M, P = (int(v) for v in rng.integers((6, 2, 1), (40, 10, 30)))
+            T = (rng.random((Q, M)) < 0.4).astype(float)
+            W = np.abs(rng.normal(size=(Q, P))) * (rng.random((Q, P)) < 0.6)
+            etas = rng.uniform(0.0, 0.3, P) * (rng.random(P) < 0.8)
+            A = solve_bpdn_plus(T, W, etas)
+            assert A.shape == (M, P)
+            for p in range(P):
+                np.testing.assert_allclose(A[:, p], solve_bpdn_plus(T, W[:, p], etas[p]),
+                                           rtol=0, atol=1e-12)
+
+    def test_scalar_eta_weighs_every_column(self):
+        rng = np.random.default_rng(59)
+        T = (rng.random((10, 4)) < 0.5).astype(float)
+        W = np.abs(rng.normal(size=(10, 3)))
+        np.testing.assert_array_equal(solve_bpdn_plus(T, W, 0.05),
+                                      solve_bpdn_plus(T, W, np.full(3, 0.05)))
+
+    def test_negative_eta_in_stack_rejected(self):
+        with pytest.raises(ValueError):
+            solve_bpdn_plus(np.eye(2), np.ones((2, 2)), [0.1, -0.1])
+
+
 class TestTagMatrix:
     def test_binary_enforced(self):
         with pytest.raises(ValueError):
@@ -157,6 +184,41 @@ class TestFitTagMap:
         assert A.shape == (8, 2)
         assert (A >= 0).all()
         assert ((A > 1e-8).sum(axis=0) <= 3).all()
+
+    def test_one_solve_matches_per_concept_scan(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        T = (rng.random((30, 7)) < 0.3).astype(float)
+        W = np.abs(rng.normal(size=(30, 4))) * (rng.random((30, 4)) < 0.5)
+        W[:, 3] = 0.0  # a concept no question uses
+        tm = TagMatrix(T, tuple(f"t{m}" for m in range(7)))
+        calls = []
+        monkeypatch.setattr(tags, "solve_bpdn_plus",
+                            lambda *args: calls.append(args) or solve_bpdn_plus(*args))
+        A = fit_tag_map(W, tm)
+        assert len(calls) == 1 and calls[0][1].shape == (30, 4 * 5)
+        for k in range(4):
+            # the scan one concept at a time: best error among <= 3 tags,
+            # else the sparsest fit, largest eta first on ties
+            cands = [(eta, solve_bpdn_plus(T, W[:, k], eta))
+                     for eta in default_eta_grid(T, W[:, k])]
+            kept = [(float(np.sum((W[:, k] - T @ a) ** 2)), i)
+                    for i, (eta, a) in enumerate(cands) if np.count_nonzero(a) <= 3]
+            pick = (min(kept)[1] if kept else
+                    min(range(5), key=lambda i: (np.count_nonzero(cands[i][1]), -cands[i][0])))
+            np.testing.assert_allclose(A[:, k], cands[pick][1], rtol=0, atol=1e-12)
+
+    def test_eta_grid_of_a_stack_is_one_grid_per_column(self):
+        rng = np.random.default_rng(63)
+        T = (rng.random((12, 5)) < 0.4).astype(float)
+        W = np.abs(rng.normal(size=(12, 3)))
+        W[:, 1] = 0.0
+        grid = default_eta_grid(T, W)
+        assert grid.shape == (5, 3)
+        for k in range(3):
+            # T^T W and T^T w_k may sum in different orders
+            np.testing.assert_allclose(grid[:, k], default_eta_grid(T, W[:, k]),
+                                       rtol=1e-14)
+        np.testing.assert_array_equal(grid[:, 1], 0.0)
 
     def test_eta_grid_shape(self):
         T = np.eye(4)
