@@ -31,7 +31,7 @@ from scipy import linalg as sla
 from scipy import special
 
 from .links import LinkKind
-from .model import Dimensions, FactorModel, ResponseMatrix, check_count
+from .model import FactorModel, ResponseMatrix, check_count, check_dimensions
 
 _TAIL_THRESHOLD = 4.0
 _PD_JITTER = 1e-10
@@ -391,11 +391,14 @@ def run_gibbs(data: ResponseMatrix, K: int, burn_in: int = 30_000,
     The 30k/30k default matches the long-run protocol; desk-scale
     experiments typically use a couple of thousand each.  Statistics are
     accumulated over the post-burn-in sweeps only.  K, burn_in and
-    n_samples must be integers >= 1.
+    n_samples must be integers >= 1; rng is a Generator, None, or an
+    integer seed >= 0.
     """
-    Dimensions(data.Q, data.N, K)
+    check_dimensions(data.Q, data.N, K)
     check_count("burn_in", burn_in)
     check_count("n_samples", n_samples)
+    if isinstance(rng, (int, np.integer)):  # a bool too, which check_count refuses
+        check_count("rng", rng, minimum=0)
     if rng is None or isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
     mu0 = _resolve(data)

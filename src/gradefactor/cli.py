@@ -15,7 +15,6 @@ the readers name the file in its message.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 import warnings
@@ -26,7 +25,7 @@ import numpy as np
 from . import bayes, evaluate, io_formats, ksvd, tags
 from .links import LinkKind
 from .mle import MLConfig, bic_select_lambda, fit_ml
-from .model import FactorModel
+from .model import FactorModel, check_count, check_real
 from .synth import SynthConfig, generate_synthetic
 
 USAGE_ERROR = 1
@@ -47,73 +46,47 @@ def _parse_link(text):
         raise ValueError(f"unknown link {text!r}; use 'probit' or 'logit'") from None
 
 
-def _finite_number(text):
-    """float(text) when that is finite, else None."""
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
+def _checked(parse, check, expected, what="value", **limits):
+    """An argparse type: parse(text), held to check(what, value, **limits);
+    any failure is a usage error that names the text and what was
+    expected."""
+    def convert(text):
+        try:
+            value = parse(text)
+            check(what, value, **limits)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad {what} {text.strip()!r}: expected {expected}") from None
+        return value
+    return convert
 
 
-def _positive_number(text, what="value"):
-    """--lambda, --gamma and each --lambda-grid entry: a finite number > 0."""
-    value = _finite_number(text)
-    if value is None or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"bad {what} {text.strip()!r}: expected a positive number"
-        )
-    return value
+def _unit_interval(what, value):
+    if not 0 <= value <= 1:
+        raise ValueError(f"{what} must lie in [0, 1]")
 
 
-def _non_negative_number(text):
-    """--mu-w and --outer-tol: a finite number >= 0."""
-    value = _finite_number(text)
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(
-            f"bad value {text.strip()!r}: expected a non-negative number"
-        )
-    return value
-
-
-def _probability(text):
-    """--threshold: a number in [0, 1]."""
-    value = _finite_number(text)
-    if value is None or not 0 <= value <= 1:
-        raise argparse.ArgumentTypeError(
-            f"bad value {text.strip()!r}: expected a number in [0, 1]"
-        )
-    return value
+# --lambda and --gamma
+_positive_number = _checked(float, check_real, "a positive number", positive=True)
+# --mu-w and --outer-tol
+_non_negative_number = _checked(float, check_real, "a non-negative number")
+# --threshold
+_probability = _checked(float, _unit_interval, "a number in [0, 1]")
+# concept, iteration, sample, restart and thread counts and the ksvd
+# sparsity budget
+_positive_int = _checked(int, check_count, "a positive integer")
+# --seed, as numpy's generators require
+_non_negative_int = _checked(int, check_count, "a non-negative integer", minimum=0)
+# each --lambda-grid entry
+_lambda_grid_entry = _checked(float, check_real, "a positive number",
+                              what="lambda grid entry", positive=True)
 
 
 def _lambda_grid(text):
     """--lambda-grid value: comma-separated positive numbers."""
     if not text.strip():
         raise argparse.ArgumentTypeError("the lambda grid is empty")
-    return [_positive_number(item, "lambda grid entry") for item in text.split(",")]
-
-
-def _int_at_least(text, minimum, expected):
-    try:
-        value = int(text)
-    except ValueError:
-        value = minimum - 1
-    if value < minimum:
-        raise argparse.ArgumentTypeError(
-            f"bad value {text.strip()!r}: expected {expected}"
-        )
-    return value
-
-
-def _positive_int(text):
-    """Concept, iteration, sample, restart and thread counts and the ksvd
-    sparsity budget: an integer >= 1."""
-    return _int_at_least(text, 1, "a positive integer")
-
-
-def _non_negative_int(text):
-    """--seed: an integer >= 0, as numpy's generators require."""
-    return _int_at_least(text, 0, "a non-negative integer")
+    return [_lambda_grid_entry(item) for item in text.split(",")]
 
 
 def read_config_file(path):

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import optimize as sopt
 
 from .links import inv_link
-from .model import FactorModel, ResponseMatrix
+from .model import FactorModel, ResponseMatrix, slack
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,7 @@ def predict_heldout(model: FactorModel, heldout: ResponseMatrix):
         raise ValueError("model and held-out data dimensions disagree")
     if heldout.n_observed == 0:
         raise ValueError("held-out set is empty")
-    z = model.W @ model.C + model.mu[:, None]
-    probs = inv_link(z, model.link)[heldout.mask]
+    probs = inv_link(slack(model), model.link)[heldout.mask]
     y = heldout.entries[heldout.mask]
     predictions = (probs >= 0.5).astype(float)
     accuracy = float((predictions == y).mean())

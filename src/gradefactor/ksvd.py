@@ -10,13 +10,12 @@ the observed entries.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .model import ResponseMatrix, masked_gram
+from .model import ResponseMatrix, check_count, masked_gram
 
 # atoms with norm below this are treated as dead and re-seeded
 _ATOM_NORM_TOL = 1e-10
@@ -25,12 +24,13 @@ _ATOM_NORM_TOL = 1e-10
 _RCOND = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class KsvdConfig:
     """n_concepts atoms; row_sparsity is a scalar budget or one per question.
 
-    n_concepts, max_iters and seed must be integers, and row_sparsity an
-    integer or a sequence of integers (a bool is none of these).
+    n_concepts and max_iters must be integers >= 1, seed an integer >= 0,
+    and row_sparsity an integer >= 0 or a sequence of them (a bool is none
+    of these).
     """
 
     n_concepts: int
@@ -39,19 +39,13 @@ class KsvdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_concepts", "max_iters", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-        if self.n_concepts < 1:
-            raise ValueError("n_concepts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, not {self.seed}")
-        if np.asarray(self.row_sparsity).dtype.kind not in "iu":
-            raise ValueError("row_sparsity must be an integer or a sequence of "
-                             f"integers, not {self.row_sparsity!r}")
+        check_count("n_concepts", self.n_concepts)
+        check_count("max_iters", self.max_iters)
+        check_count("seed", self.seed, minimum=0)
+        # object entries keep their own type, where np.asarray would make
+        # a bool among ints an int
+        for budget in np.array(self.row_sparsity, dtype=object).ravel():
+            check_count("row_sparsity", budget, minimum=0)
 
     def sparsity_vector(self, Q: int) -> np.ndarray:
         s = np.asarray(self.row_sparsity)
@@ -59,7 +53,7 @@ class KsvdConfig:
             s = np.full(Q, s)
         if s.shape != (Q,):
             raise ValueError("row_sparsity must be a scalar or length-Q vector")
-        if (s < 0).any() or (s > self.n_concepts).any():
+        if (s > self.n_concepts).any():
             raise ValueError("row sparsity must lie in [0, n_concepts]")
         return s
 

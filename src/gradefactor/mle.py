@@ -17,16 +17,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .links import LinkKind, hazard, log_inv_link, scalar_lipschitz
-from .model import (Dimensions, FactorModel, ResponseMatrix, check_count,
-                    log_likelihood, masked_gram)
+from .model import (FactorModel, ResponseMatrix, check_count, check_dimensions,
+                    check_real, log_likelihood, masked_gram)
 
 _L_FLOOR = 1e-12
 # the members of one fit (its restarts, and with a lambda grid every
@@ -40,9 +38,17 @@ _BATCH_CELLS = 32_768
 # a fit splits its members into stacks for a thread pool only while each
 # stack keeps at least this many cells: a smaller one spends its steps
 # mostly in Python overhead under the interpreter lock, so a second thread
-# adds contention, not speed.  Probit breaks even near 2000 cells (2
-# restarts on 2 threads against 1, BIC over 4 lambdas, 25 outer
-# iterations).  No logit split measured paid, its cheaper kernels
+# adds contention, not speed.  Probit breaks even near 2000 cells: with
+# BLAS on one thread, K = 5 and 25 outer iterations, the split on 2
+# threads against one stack on the calling thread (medians of 7
+# alternating rounds, two sets) ran 2 restarts at 50 x 50 (2500 cells)
+# in 0.189 / 0.203 s against 0.187 / 0.188 s (faster in 3 of 7 each), and
+# paid above it: 2 restarts at 80 x 100 0.373 / 0.349 s against 0.475 /
+# 0.458 s (5 and 7 of 7), at 100 x 160 0.502 / 0.504 s against 0.932 /
+# 0.856 s, 3 at 60 x 100 0.473 / 0.401 s against 0.600 / 0.552 s, and BIC
+# over 4 lambdas x 2 restarts at 34 x 99 0.560 / 0.497 s against 0.858 /
+# 0.811 s and at 40 x 50 0.346 / 0.330 s against 0.471 / 0.495 s (7 of 7
+# in both sets).  No logit split measured paid, its cheaper kernels
 # releasing the lock for less time: with BLAS on one thread, 5 BIC fits
 # of 34 x 99 (4 lambdas x 2 restarts, 25 outer iterations) ran faster as
 # one stack of 8 on 1 thread than as two stacks of 4 (13464 cells each)
@@ -53,7 +59,7 @@ _BATCH_CELLS = 32_768
 _SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 2_000, LinkKind.LOGIT: 16_384}
 
 
-@dataclass
+@dataclass(frozen=True)
 class MLConfig:
     """Knobs for the alternating maximum-likelihood fit.
 
@@ -69,8 +75,9 @@ class MLConfig:
     restarts : number of random initializations; the run with the lowest
         final objective wins.
 
-    lambda_l1, gamma_c, mu_w and outer_tol must be finite; inner_iters,
-    max_outer, restarts and seed must be integers.
+    lambda_l1 and gamma_c must be finite and positive, mu_w and outer_tol
+    finite and non-negative, inner_iters, max_outer and restarts integers
+    >= 1, and seed an integer >= 0.
     """
 
     lambda_l1: float
@@ -84,22 +91,13 @@ class MLConfig:
     link: LinkKind = LinkKind.PROBIT
 
     def __post_init__(self):
-        for name in ("lambda_l1", "gamma_c", "mu_w", "outer_tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("inner_iters", "max_outer", "restarts", "seed"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-        if self.lambda_l1 <= 0:
-            raise ValueError("lambda_l1 must be positive")
-        if self.gamma_c <= 0:
-            raise ValueError("gamma_c must be positive")
-        if self.mu_w < 0:
-            raise ValueError("mu_w must be non-negative")
-        if self.inner_iters < 1 or self.max_outer < 1 or self.restarts < 1:
-            raise ValueError("inner_iters, max_outer and restarts must be >= 1")
-        if self.outer_tol < 0:
-            raise ValueError("outer_tol must be non-negative")
+        check_real("lambda_l1", self.lambda_l1, positive=True)
+        check_real("gamma_c", self.gamma_c, positive=True)
+        check_real("mu_w", self.mu_w)
+        check_real("outer_tol", self.outer_tol)
+        for name in ("inner_iters", "max_outer", "restarts"):
+            check_count(name, getattr(self, name))
+        check_count("seed", self.seed, minimum=0)
         if not isinstance(self.link, LinkKind):
             raise TypeError("link must be a LinkKind")
 
@@ -462,7 +460,7 @@ def _fit_grid(data, K, config, lambdas, n_threads):
     check_count("n_threads", n_threads)
     if data.n_observed == 0:
         raise ValueError("cannot fit: no observed responses")
-    Dimensions(data.Q, data.N, K)
+    check_dimensions(data.Q, data.N, K)
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     members = [(lam, seed) for lam in lambdas for seed in seeds]
     data.observed  # build the shared view before stacks start on threads

@@ -12,6 +12,7 @@ difficulty matrix mu * 1^T is never materialized.
 from __future__ import annotations
 
 import functools
+import math
 import numbers
 import warnings
 from dataclasses import dataclass
@@ -27,32 +28,37 @@ def _frozen_array(values, dtype=float):
     return arr
 
 
-def check_count(name, value):
+def check_count(name, value, minimum=1):
     """Raise ValueError naming the argument unless value is an integer
-    >= 1 (a bool is not one)."""
+    >= minimum (a bool is not one); seeds take minimum=0."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < 1):
-        raise ValueError(f"{name} must be an integer >= 1, not {value!r}")
+            or value < minimum):
+        kind = ("a non-negative integer" if minimum == 0
+                else f"an integer >= {minimum}")
+        raise ValueError(f"{name} must be {kind}")
 
 
-@dataclass(frozen=True)
-class Dimensions:
-    """Problem dimensions; warns when K is not small relative to Q and N."""
+def check_real(name, value, positive=False):
+    """Raise ValueError naming the argument unless value is a finite real
+    number >= 0, or > 0 when positive is set (a bool is not one)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0
+            or (positive and value == 0)):
+        kind = "positive" if positive else "non-negative"
+        raise ValueError(f"{name} must be a finite {kind} number")
 
-    Q: int
-    N: int
-    K: int
 
-    def __post_init__(self):
-        for name in ("Q", "N", "K"):
-            check_count(name, getattr(self, name))
-        if self.K > min(self.Q, self.N):
-            warnings.warn(
-                f"concept count K={self.K} exceeds min(Q, N)="
-                f"{min(self.Q, self.N)}; the model expects far fewer "
-                "concepts than questions or learners",
-                stacklevel=2,
-            )
+def check_dimensions(Q, N, K):
+    """Raise ValueError unless Q, N and K are integers >= 1; warn when K is
+    not small relative to Q and N."""
+    for name, value in (("Q", Q), ("N", N), ("K", K)):
+        check_count(name, value)
+    if K > min(Q, N):
+        warnings.warn(
+            f"concept count K={K} exceeds min(Q, N)={min(Q, N)}; the model "
+            "expects far fewer concepts than questions or learners",
+            stacklevel=3,
+        )
 
 
 def _flat_cells(Z):

@@ -9,18 +9,16 @@ i.i.d. uniform at the requested rate.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bayes import sample_inv_wishart
 from .links import LinkKind, inv_link
-from .model import FactorModel, ResponseMatrix
+from .model import FactorModel, ResponseMatrix, check_count, check_real, slack
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Generator settings.
 
@@ -28,8 +26,9 @@ class SynthConfig:
     lo, hi) draws the nonzero count uniformly on {lo..hi} and places it
     at random, while ("bernoulli", q) activates each entry independently.
     The default is uniform on {1..min(3, K)}.  lambda_k is the
-    exponential rate of active weights (mean 1/lambda_k).  seed must be
-    a non-negative integer, as numpy's generators require.
+    exponential rate of active weights (mean 1/lambda_k).  Q, N and K
+    must be integers >= 1, seed an integer >= 0 (as numpy's generators
+    require), and lambda_k and v_mu finite and positive.
     """
 
     Q: int
@@ -43,29 +42,30 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.Q, self.N, self.K) < 1:
-            raise ValueError("Q, N and K must be positive")
-        if not 0.0 < self.p_obs <= 1.0:
+        for name in ("Q", "N", "K"):
+            check_count(name, getattr(self, name))
+        check_real("p_obs", self.p_obs, positive=True)
+        if self.p_obs > 1.0:
             raise ValueError("p_obs must lie in (0, 1]")
-        for name in ("lambda_k", "v_mu"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError("seed must be a non-negative integer")
+        check_real("lambda_k", self.lambda_k, positive=True)
+        check_real("v_mu", self.v_mu, positive=True)
+        check_count("seed", self.seed, minimum=0)
         if self.nnz_mode is None:
-            self.nnz_mode = ("uniform", 1, min(3, self.K))
-        mode = self.nnz_mode[0]
-        if mode == "uniform":
-            lo, hi = int(self.nnz_mode[1]), int(self.nnz_mode[2])
-            if not 0 <= lo <= hi <= self.K:
+            object.__setattr__(self, "nnz_mode", ("uniform", 1, min(3, self.K)))
+        mode, *params = self.nnz_mode
+        if mode == "uniform" and len(params) == 2:
+            lo, hi = params
+            check_count("nnz_mode lo", lo, minimum=0)
+            check_count("nnz_mode hi", hi, minimum=0)
+            if not lo <= hi <= self.K:
                 raise ValueError("uniform support bounds must satisfy 0 <= lo <= hi <= K")
-        elif mode == "bernoulli":
-            q = float(self.nnz_mode[1])
-            if not 0.0 < q < 1.0:
+        elif mode == "bernoulli" and len(params) == 1:
+            check_real("nnz_mode rate", params[0], positive=True)
+            if params[0] >= 1.0:
                 raise ValueError("bernoulli activation rate must lie in (0, 1)")
         else:
-            raise ValueError(f"unknown support law {mode!r}")
+            raise ValueError("nnz_mode must be ('uniform', lo, hi) or ('bernoulli', q), "
+                             f"not {self.nnz_mode!r}")
 
 
 def _draw_weights(config: SynthConfig, rng) -> np.ndarray:
@@ -74,11 +74,10 @@ def _draw_weights(config: SynthConfig, rng) -> np.ndarray:
     scale = 1.0 / config.lambda_k
     mode = config.nnz_mode[0]
     if mode == "bernoulli":
-        q = float(config.nnz_mode[1])
-        active = rng.random((Q, K)) < q
+        active = rng.random((Q, K)) < config.nnz_mode[1]
         W[active] = rng.exponential(scale, int(active.sum()))
         return W
-    lo, hi = int(config.nnz_mode[1]), int(config.nnz_mode[2])
+    lo, hi = config.nnz_mode[1:]
     for i in range(Q):
         nnz = int(rng.integers(lo, hi + 1))
         if nnz == 0:
@@ -98,7 +97,7 @@ def generate_synthetic(config: SynthConfig):
     C = np.linalg.cholesky(V) @ rng.standard_normal((K, N))
     mu = rng.normal(0.0, np.sqrt(config.v_mu), Q)
     truth = FactorModel(W, C, mu, config.link)
-    probs = inv_link(W @ C + mu[:, None], config.link)
+    probs = inv_link(slack(truth), config.link)
     Y = (rng.random((Q, N)) < probs).astype(float)
     mask = rng.random((Q, N)) < config.p_obs
     return truth, ResponseMatrix(np.where(mask, Y, 0.0), mask)

@@ -78,8 +78,8 @@ def solve_bpdn_plus(T, w, eta):
     targets = w.reshape(len(w), -1)
     P = targets.shape[1]
     eta = np.broadcast_to(np.asarray(eta, dtype=float), (P,))
-    if (eta < 0).any():
-        raise ValueError("eta must be non-negative")
+    if not (np.isfinite(eta) & (eta >= 0)).all():
+        raise ValueError("eta must be finite and non-negative")
     M = T.shape[1]
     gram = T.T @ T
     tw = T.T @ targets

@@ -397,6 +397,13 @@ class TestRunGibbs:
             run_gibbs(data, sizes["K"], burn_in=sizes["burn_in"],
                       n_samples=sizes["n_samples"], rng=0)
 
+    @pytest.mark.parametrize("rng", [True, False, -1, np.int64(-2)])
+    def test_bad_seed_rejected_by_name(self, rng):
+        # a bool would otherwise seed the chain as 0 or 1
+        truth, data = generate_synthetic(SynthConfig(Q=4, N=4, K=1, seed=26))
+        with pytest.raises(ValueError, match="^rng must be a non-negative integer$"):
+            run_gibbs(data, 1, burn_in=2, n_samples=2, rng=rng)
+
 
 # Posterior summaries of a 20 + 20 sweep chain: (sum, flat entries 0 and 7,
 # last entry) of each field.  A change to the arithmetic or the RNG order of

@@ -293,6 +293,7 @@ class TestFitKsvd:
     ("seed", 1.5),
     ("seed", True),
     ("seed", -1),
+    ("row_sparsity", [1, True]),
 ])
 def test_config_value_that_would_be_truncated_or_fail_later_rejected(field, value):
     kwargs = {"n_concepts": 3, "row_sparsity": 1, field: value}

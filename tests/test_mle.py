@@ -45,7 +45,7 @@ LINKS = [LinkKind.PROBIT, LinkKind.LOGIT]
 
 class TestConfig:
     @pytest.mark.parametrize("field", ["lambda_l1", "gamma_c", "mu_w", "outer_tol"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, True])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             MLConfig(**{"lambda_l1": 1.0, field: value})
@@ -55,6 +55,10 @@ class TestConfig:
         ("inner_iters", math.nan),
         ("max_outer", math.inf),
         ("seed", 2.0),
+        ("restarts", True),
+        ("max_outer", True),
+        ("seed", True),
+        ("seed", -1),
     ])
     def test_non_integer_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -2,16 +2,21 @@
 
 import concurrent.futures
 import math
+import os
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradefactor
 from gradefactor.links import LinkKind, inv_link
 from gradefactor.model import (
-    Dimensions,
     FactorModel,
     ResponseMatrix,
+    check_dimensions,
     log_likelihood,
     slack,
 )
@@ -203,10 +208,43 @@ class TestPredictProb:
 
 def test_dimensions_warns_on_large_k():
     with pytest.warns(UserWarning):
-        Dimensions(Q=4, N=5, K=6)
+        check_dimensions(Q=4, N=5, K=6)
 
 
 @pytest.mark.parametrize("K", [0, -1, 2.5, np.float64(2.0), True, "2"])
 def test_dimensions_reject_k_that_is_not_a_positive_integer(K):
     with pytest.raises(ValueError, match="^K must be an integer >= 1"):
-        Dimensions(Q=4, N=5, K=K)
+        check_dimensions(Q=4, N=5, K=K)
+
+
+def test_checks_hold_under_optimize_flag():
+    # python -O strips assert statements; the config checks must survive it
+    script = textwrap.dedent("""
+        import math
+        from gradefactor.mle import MLConfig
+        from gradefactor.synth import SynthConfig
+        for make in (lambda: MLConfig(1.0, restarts=True),
+                     lambda: MLConfig(1.0, gamma_c=math.nan),
+                     lambda: SynthConfig(Q=2, N=2, K=True),
+                     lambda: SynthConfig(Q=2, N=2, K=1, v_mu=math.nan)):
+            try:
+                make()
+            except ValueError as exc:
+                print("rejected:", exc)
+            else:
+                print("accepted")
+    """)
+    # the child does not inherit pytest's pythonpath setting: point it at
+    # the src directory of the package this test imported
+    src = str(Path(gradefactor.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "rejected: restarts must be an integer >= 1",
+        "rejected: gamma_c must be a finite positive number",
+        "rejected: K must be an integer >= 1",
+        "rejected: v_mu must be a finite positive number",
+    ]

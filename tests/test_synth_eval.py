@@ -56,13 +56,19 @@ class TestGenerator:
         with pytest.raises(ValueError):
             SynthConfig(Q=2, N=2, K=1, p_obs=0.0)
 
-    @pytest.mark.parametrize("field", ["lambda_k", "v_mu"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field,value", [
+        *(pytest.param(field, value, id=f"{value}-{field}")
+          for value in (math.nan, math.inf, -math.inf) for field in ("lambda_k", "v_mu")),
+        ("Q", math.nan),
+        ("Q", 2.5),
+        ("K", True),
+        ("nnz_mode", ("uniform", 1.5, 2)),
+    ])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
-            SynthConfig(Q=2, N=2, K=1, **{field: value})
+            SynthConfig(**{"Q": 2, "N": 2, "K": 2, field: value})
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
             SynthConfig(Q=2, N=2, K=1, seed=seed)

@@ -113,6 +113,11 @@ class TestSolveBpdnPlusStack:
         with pytest.raises(ValueError):
             solve_bpdn_plus(np.eye(2), np.ones((2, 2)), [0.1, -0.1])
 
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, [0.1, np.nan], [np.inf, 0.1]])
+    def test_non_finite_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="^eta must be finite and non-negative$"):
+            solve_bpdn_plus(np.eye(2), np.ones((2, 2)), eta)
+
 
 class TestTagMatrix:
     def test_binary_enforced(self):
