@@ -16,9 +16,10 @@ per-concept exponential rates, and the per-concept inclusion rates.
 
 W weights are drawn from a rectified normal: the exponential slab tilts
 a normal likelihood, which after completing the square is just a normal
-with mean shifted by -lambda*s truncated to [0, inf).  Truncated normals
-use inverse-CDF sampling except deep in the tail (beyond 4 standard
-deviations) where an exponential-proposal rejection sampler takes over.
+with mean shifted by -lambda*s truncated to [0, inf).  Every truncated
+normal is drawn by inverting its CDF with one uniform per draw, in log
+space past 4 standard deviations, so a call uses a fixed number of
+uniforms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from scipy import linalg as sla
 from scipy import special
 
 from .links import LinkKind
-from .model import FactorModel, ResponseMatrix, check_count, check_dimensions
+from .model import (FactorModel, ResponseMatrix, check_count, check_dimensions,
+                    masked_gram)
 
 _TAIL_THRESHOLD = 4.0
 _PD_JITTER = 1e-10
@@ -61,25 +63,6 @@ class GibbsState:
     r: np.ndarray
     activity: np.ndarray
 
-    def validate(self, data: ResponseMatrix | None = None):
-        """Raise ValueError naming the first invariant the state breaks;
-        with data, also check the slack signs at the observed cells."""
-        if not (self.W >= 0).all():
-            raise ValueError("W must be non-negative")
-        if not np.allclose(self.V, self.V.T):
-            raise ValueError("V must be symmetric")
-        if not np.linalg.eigvalsh(self.V)[0] > 0:
-            raise ValueError("V must be positive definite")
-        if not ((self.r > 0) & (self.r < 1)).all():
-            raise ValueError("r must lie in (0, 1)")
-        if not ((self.activity >= 0) & (self.activity <= 1)).all():
-            raise ValueError("activity must lie in [0, 1]")
-        if data is not None:
-            obs_z = self.Z[data.mask]
-            obs_y = data.entries[data.mask]
-            if not ((obs_z > 0) == (obs_y == 1)).all():
-                raise ValueError("Z signs must match the observed responses")
-
 
 @dataclass(frozen=True)
 class PosteriorSummary:
@@ -102,36 +85,20 @@ class PosteriorSummary:
             raise ValueError("activity probabilities must lie in [0, 1]")
 
 
-def _body_draws(a, rng):
-    # survival-function inversion avoids cancellation for a near 0
-    u = 1.0 - rng.random(a.shape)
-    return -special.ndtri(u * special.ndtr(-a))
-
-
 def _std_truncnorm_lower(a, rng):
-    """Standard normal conditioned on X >= a, elementwise over a."""
+    """Standard normal conditioned on X >= a, elementwise over a, from one
+    uniform per element."""
     a = np.asarray(a, dtype=float)
-    body = a <= _TAIL_THRESHOLD
-    if body.all():  # the usual case: no element needs the tail sampler
-        return _body_draws(a, rng)
-    tail = ~body
-    at = a[tail]
-    if not np.isfinite(at).all():  # no tail proposal would ever be accepted
-        raise ValueError("truncation points must be finite")
-    out = np.empty_like(a)
-    if body.any():
-        out[body] = _body_draws(a[body], rng)
-    alpha = 0.5 * (at + np.sqrt(at * at + 4.0))
-    draws = np.empty_like(at)
-    pending = np.ones(at.shape, dtype=bool)
-    while pending.any():
-        ap = at[pending]
-        z = ap + rng.exponential(1.0, ap.shape) / alpha[pending]
-        accept = rng.random(ap.shape) <= np.exp(-0.5 * (z - alpha[pending]) ** 2)
-        idx = np.flatnonzero(pending)[accept]
-        draws.flat[idx] = z[accept]
-        pending.flat[idx] = False
-    out[tail] = draws
+    u = 1.0 - rng.random(a.shape)  # in (0, 1]
+    # survival-function inversion avoids cancellation for a near 0
+    out = -special.ndtri(u * special.ndtr(-a))
+    tail = ~(a <= _TAIL_THRESHOLD)  # NaN included
+    if tail.any():
+        at = a[tail]
+        if not np.isfinite(at).all():
+            raise ValueError("truncation points must be finite")
+        # ndtr(-a) loses its digits out here, so invert in log space
+        out[tail] = -special.ndtri_exp(np.log(u[tail]) + special.log_ndtr(-at))
     return out
 
 
@@ -261,12 +228,7 @@ def step_knowledge(state: GibbsState, data: ResponseMatrix, rng):
         noise = sla.solve_triangular(Lc.T, xi, lower=False)
         state.C[:] = means + noise
         return
-    # gram[j] = sum_i maskf[i, j] w_i w_i^T as one matmul over the stacked
-    # outer products: the contraction einsum("ik,ij,il->jkl", optimize=True)
-    # chooses, without searching for it on every call
-    outer = (W[:, :, None] * W[:, None, :]).reshape(W.shape[0], K * K)
-    gram = (maskf.T @ outer).reshape(N, K, K)
-    A = Vinv[None, :, :] + gram
+    A = Vinv[None, :, :] + masked_gram(W.T, maskf.T)
     Lc = np.linalg.cholesky(A)
     means = np.linalg.solve(A, B.T[:, :, None])[:, :, 0]
     noise = np.linalg.solve(np.transpose(Lc, (0, 2, 1)), xi.T[:, :, None])[:, :, 0]
@@ -405,36 +367,24 @@ def run_gibbs(data: ResponseMatrix, K: int, burn_in: int = 30_000,
     state = _initial_state(data, K, mu0, rng)
     for _ in range(burn_in):
         _sweep(state, data, mu0, rng)
-    w_sum = np.zeros_like(state.W)
-    w_sq = np.zeros_like(state.W)
-    c_sum = np.zeros_like(state.C)
-    c_sq = np.zeros_like(state.C)
-    mu_sum = np.zeros_like(state.mu)
-    mu_sq = np.zeros_like(state.mu)
-    act_sum = np.zeros_like(state.activity)
+    names = ("W", "C", "mu", "activity")
+    sums = {name: np.zeros_like(getattr(state, name)) for name in names}
+    squares = {name: np.zeros_like(sums[name]) for name in names[:3]}
     for _ in range(n_samples):
         _sweep(state, data, mu0, rng)
-        w_sum += state.W
-        w_sq += state.W * state.W
-        c_sum += state.C
-        c_sq += state.C * state.C
-        mu_sum += state.mu
-        mu_sq += state.mu * state.mu
-        act_sum += state.activity
-    n = float(n_samples)
-    w_mean = w_sum / n
-    c_mean = c_sum / n
-    mu_mean = mu_sum / n
+        for name in names:
+            value = getattr(state, name)
+            sums[name] += value
+            if name in squares:
+                squares[name] += value * value
+    mean = {name: total / float(n_samples) for name, total in sums.items()}
+    var = {name: np.clip(sq / float(n_samples) - mean[name] ** 2, 0.0, None)
+           for name, sq in squares.items()}
     return PosteriorSummary(
-        w_mean=w_mean,
-        w_var=np.clip(w_sq / n - w_mean**2, 0.0, None),
-        c_mean=c_mean,
-        c_var=np.clip(c_sq / n - c_mean**2, 0.0, None),
-        mu_mean=mu_mean,
-        mu_var=np.clip(mu_sq / n - mu_mean**2, 0.0, None),
-        activity=np.clip(act_sum / n, 0.0, 1.0),
-        n_samples=n_samples,
-        burn_in=burn_in,
+        w_mean=mean["W"], w_var=var["W"], c_mean=mean["C"], c_var=var["C"],
+        mu_mean=mean["mu"], mu_var=var["mu"],
+        activity=np.clip(mean["activity"], 0.0, 1.0),
+        n_samples=n_samples, burn_in=burn_in,
     )
 
 

@@ -16,7 +16,6 @@ the non-negativity clamp because difficulties may be negative.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -116,33 +115,31 @@ class FitTrace:
     restart_index: int
 
 
-def _penalty(W_aug, C, config: MLConfig) -> float:
-    """The l1 and ridge terms of the overall objective."""
+def _penalty(W_aug, C, lam, config: MLConfig) -> float:
+    """The l1 (weight lam) and ridge terms of the overall objective."""
     K = C.shape[0]
     return (
-        config.lambda_l1 * float(np.abs(W_aug[:, :K]).sum())
+        lam * float(np.abs(W_aug[:, :K]).sum())
         + 0.5 * config.mu_w * float((W_aug * W_aug).sum())
         + 0.5 * config.gamma_c * float((C * C).sum())
     )
 
 
 def objective_value(W_aug, C, data: ResponseMatrix, config: MLConfig) -> float:
-    """Overall objective: masked negative log-likelihood plus penalties.
+    """Overall objective: the negative observed log-likelihood plus
+    penalties; the fit's own objective comes from its workspace cache, and
+    this is its oracle.
 
     W_aug is Q x (K+1) with the difficulty offsets in the last column.
     Raises if any concept weight is negative (the feasible set excludes it).
     """
     W_aug = np.asarray(W_aug, dtype=float)
-    C = np.asarray(C, dtype=float)
-    K = C.shape[0]
+    K = np.shape(C)[0]
     if W_aug.shape[1] != K + 1:
         raise ValueError("W_aug must have one more column than C has rows")
-    if (W_aug[:, :K] < 0).any():
-        raise ValueError("concept weights must be non-negative")
-    z = W_aug[:, :K] @ C + W_aug[:, K][:, None]
-    obs = data.observed
-    nll = -float(log_inv_link(obs.sign * obs.gather(z), config.link).sum())
-    return nll + _penalty(W_aug, C, config)
+    model = FactorModel(W_aug[:, :K], C, W_aug[:, K], config.link)
+    return (-log_likelihood(model, data)
+            + _penalty(W_aug, model.C, config.lambda_l1, config))
 
 
 class _Workspace:
@@ -190,10 +187,11 @@ class _Workspace:
         """buf with the cached log-likelihood of each observed cell."""
         return self.obs.scatter(self.buf, self.loglik)
 
-    def objective(self, m, W_aug, C, config):
-        """objective_value at member m's (W_aug, C), whose cells the cache
-        holds; both sum the observed cells in the same order."""
-        return -float(self.loglik[m].sum()) + _penalty(W_aug, C, config)
+    def objective(self, m, W_aug, C, lam, config):
+        """objective_value at member m's (W_aug, C) and l1 weight lam, whose
+        cells the cache holds; both sum the observed cells in the same
+        order."""
+        return -float(self.loglik[m].sum()) + _penalty(W_aug, C, lam, config)
 
     def accept(self, rejected):
         """Cache the cell log-likelihoods of a phase's end point, which
@@ -284,15 +282,15 @@ def _col_objectives(C, cell_ll, gamma):
     return nll + 0.5 * gamma * (C * C).sum(axis=0)
 
 
-def _row_lipschitz(C_aug, work, mu_w, link):
-    """Gradient Lipschitz constant of every question-row subproblem: the
-    hazard constant times the largest eigenvalue of the row's masked Gram
-    sum_j mask[i, j] c_j c_j^T, plus mu_w, floored at _L_FLOOR."""
-    # the first member's buf as the float observation mask
-    maskf = work.obs.scatter(work.buf[0], 1.0)
-    gram = masked_gram(C_aug, maskf)
-    sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
-    return np.maximum(scalar_lipschitz(link) * sig2 + mu_w, _L_FLOOR)
+def _lipschitz(A, maskf, ridge, link):
+    """Gradient Lipschitz constant of the subproblem of every row of the
+    float mask: the hazard constant times the largest eigenvalue of its
+    masked Gram sum_j maskf[i, j] a_j a_j^T over the columns of A, plus
+    ridge, floored at _L_FLOOR.  Question rows pass C_aug and the mask,
+    learner columns W (without the difficulty column) transposed and the
+    mask transposed."""
+    sig2 = np.clip(np.linalg.eigvalsh(masked_gram(A, maskf))[:, -1], 0.0, None)
+    return np.maximum(scalar_lipschitz(link) * sig2 + ridge, _L_FLOOR)
 
 
 def _row_gradient(W_aug, C_aug, work, mu_w, link):
@@ -301,16 +299,6 @@ def _row_gradient(W_aug, C_aug, work, mu_w, link):
     # -(R @ C^T) is (-R) @ C^T bitwise, without a Q x N negated copy
     grad = -(resid @ _col_blocks(C_aug, work.obs.shape[1]).transpose(0, 2, 1))
     return grad.reshape(W_aug.shape) + mu_w * W_aug
-
-
-def _col_lipschitz(W, work, link):
-    """Gradient Lipschitz constant of every learner-column subproblem, from
-    the column's masked Gram sum_i mask[i, j] w_i w_i^T (W without the
-    difficulty column), floored at _L_FLOOR."""
-    maskf = work.obs.scatter(work.buf[0], 1.0)  # as in _row_lipschitz
-    gram = masked_gram(W.T, maskf.T)
-    sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
-    return np.maximum(scalar_lipschitz(link) * sig2, _L_FLOOR)
 
 
 def _col_gradient(C, W_aug, work, link):
@@ -322,6 +310,19 @@ def _col_gradient(C, W_aug, work, link):
     np.matmul((-_row_blocks(W_aug[:, :-1], Q)).transpose(0, 2, 1), resid,
               out=_col_blocks(grad, N))
     return grad
+
+
+def _accelerated(x0, step, iters):
+    """iters accelerated proximal-gradient (FISTA) iterations from x0,
+    step(u) being one proximal-gradient step from u; returns the last
+    iterate."""
+    x_prev, u, tau = x0, x0, 1.0
+    for _ in range(iters):
+        x = step(u)
+        tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
+        u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
+        x_prev, tau = x, tau_next
+    return x_prev
 
 
 def _phase_w(W_aug, C_aug, work, lam, mu_w, link, iters):
@@ -336,51 +337,47 @@ def _phase_w(W_aug, C_aug, work, lam, mu_w, link, iters):
     log-likelihoods of the incoming rows on entry and of the returned rows
     on exit.
     """
-    d = W_aug.shape[1]
-    t = 1.0 / _row_lipschitz(C_aug, work, mu_w, link)
+    # the first member's buf, free until cached(), as the float mask
+    maskf = work.obs.scatter(work.buf[0], 1.0)
+    t = 1.0 / _lipschitz(C_aug, maskf, mu_w, link)
     lam_t = (lam * t)[:, None]
     t = t[:, None]
-
     f_old = _row_objectives(W_aug, work.cached(), lam, mu_w)
-    x_prev = W_aug
-    u = W_aug.copy()
-    tau = 1.0
-    for _ in range(iters):
+
+    def step(u):
         x = u - t * _row_gradient(u, C_aug, work, mu_w, link)
-        x[:, : d - 1] = np.maximum(x[:, : d - 1] - lam_t, 0.0)
-        tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
-        u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
-        x_prev, tau = x, tau_next
-    cell_ll = _log_lik_cells(_slack(x_prev, C_aug, work), work, link)
-    worse = _row_objectives(x_prev, cell_ll, lam, mu_w) > f_old
+        x[:, :-1] = np.maximum(x[:, :-1] - lam_t, 0.0)
+        return x
+
+    x = _accelerated(W_aug, step, iters)
+    cell_ll = _log_lik_cells(_slack(x, C_aug, work), work, link)
+    worse = _row_objectives(x, cell_ll, lam, mu_w) > f_old
     if worse.any():
-        x_prev[worse] = W_aug[worse]
+        x[worse] = W_aug[worse]
     work.accept(worse.reshape(-1, work.obs.shape[0], 1))
-    return x_prev
+    return x
 
 
 def _phase_c(C, W_aug, work, gamma, link, iters):
     """One alternation over all learner columns at once; the ridge term
     enters through the rescaling prox, so no sign constraint applies.
-    The accept-if-improved guard and the cache work as in _phase_w."""
-    t = 1.0 / _col_lipschitz(W_aug[:, :-1], work, link)  # one per column
+    The step sizes, the accept-if-improved guard and the cache work as in
+    _phase_w."""
+    maskf = work.obs.scatter(work.buf[0], 1.0)
+    t = 1.0 / _lipschitz(W_aug[:, :-1].T, maskf.T, 0.0, link)  # one per column
     shrink = 1.0 + gamma * t
-
     f_old = _col_objectives(C, work.cached(), gamma)
-    x_prev = C
-    u = C.copy()
-    tau = 1.0
-    for _ in range(iters):
-        x = (u - t * _col_gradient(u, W_aug, work, link)) / shrink
-        tau_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * tau * tau))
-        u = x + ((tau - 1.0) / tau_next) * (x - x_prev)
-        x_prev, tau = x, tau_next
-    cell_ll = _log_lik_cells(_col_slack(x_prev, W_aug, work), work, link)
-    worse = _col_objectives(x_prev, cell_ll, gamma) > f_old
+
+    def step(u):
+        return (u - t * _col_gradient(u, W_aug, work, link)) / shrink
+
+    x = _accelerated(C, step, iters)
+    cell_ll = _log_lik_cells(_col_slack(x, W_aug, work), work, link)
+    worse = _col_objectives(x, cell_ll, gamma) > f_old
     if worse.any():
-        x_prev[:, worse] = C[:, worse]
+        x[:, worse] = C[:, worse]
     work.accept(worse.reshape(-1, 1, work.obs.shape[1]))
-    return x_prev
+    return x
 
 
 def _run_stack(data, K, config, members):
@@ -398,15 +395,15 @@ def _run_stack(data, K, config, members):
         W_aug[m * Q:(m + 1) * Q, :K] = np.abs(rng.standard_normal((Q, K)))
         W_aug[m * Q:(m + 1) * Q, K] = rng.standard_normal(Q)
         C[:, m * N:(m + 1) * N] = rng.standard_normal((K, N))
-    configs = [dataclasses.replace(config, lambda_l1=lam) for lam, _ in members]
-    lam = np.repeat([lam for lam, _ in members], Q)
+    lams = [lam for lam, _ in members]
+    lam = np.repeat(lams, Q)
     ones = np.ones((1, B * N))
 
     def member(i):
         return W_aug[i * Q:(i + 1) * Q], C[:, i * N:(i + 1) * N]
 
     work = _Workspace(data.observed, W_aug, np.vstack([C, ones]), config.link)
-    objs = [[work.objective(m, *member(m), configs[m])] for m in range(B)]
+    objs = [[work.objective(m, *member(m), lams[m], config)] for m in range(B)]
     fits = [None] * B
     active = list(range(B))  # the member at each position of the stack
     for _ in range(config.max_outer):
@@ -417,7 +414,7 @@ def _run_stack(data, K, config, members):
                          config.inner_iters)
         going = []
         for i, m in enumerate(active):
-            objs[m].append(work.objective(i, *member(i), configs[m]))
+            objs[m].append(work.objective(i, *member(i), lams[m], config))
             decrease = objs[m][-2] - objs[m][-1]
             if decrease < config.outer_tol * max(1.0, abs(objs[m][-2])):
                 fits[m] = member(i)

@@ -1,5 +1,6 @@
-"""Shared independent oracles for the test suite, and adapters that run
-the batched ML kernels on a single question row or learner column.
+"""Shared independent oracles for the test suite, adapters that run the
+batched ML kernels on a single question row or learner column, and the
+Gibbs sampler's state invariants.
 
 The oracles are built from the math module / scipy.integrate only, so
 oracle values never flow through the code paths they are checking.  The
@@ -124,19 +125,14 @@ def _workspace(data, W_aug, C_aug, link):
 
 def row_lipschitz(C_aug, mask, mu_w, link):
     """Step-size constant L of one question row with design C_aug."""
-    C_aug = np.asarray(C_aug, dtype=float)
-    work = _workspace(one_row(np.zeros(len(mask)), mask),
-                      np.zeros((1, C_aug.shape[0])), C_aug, link)
-    return float(mle._row_lipschitz(C_aug, work, mu_w, link)[0])
+    maskf = np.asarray(mask, dtype=float)[None, :]
+    return float(mle._lipschitz(np.asarray(C_aug, dtype=float), maskf, mu_w, link)[0])
 
 
 def col_lipschitz(W, mask, link):
     """Step-size constant L of one learner column with concept weights W."""
-    W = np.asarray(W, dtype=float)
-    work = _workspace(one_col(np.zeros(len(mask)), mask),
-                      np.zeros((W.shape[0], W.shape[1] + 1)),
-                      np.zeros((W.shape[1] + 1, 1)), link)
-    return float(mle._col_lipschitz(W, work, link)[0])
+    maskf = np.asarray(mask, dtype=float)[None, :]
+    return float(mle._lipschitz(np.asarray(W, dtype=float).T, maskf, 0.0, link)[0])
 
 
 def row_gradient(w, C_aug, y, mask, mu_w, link):
@@ -167,3 +163,23 @@ def solve_col(c0, W_aug, y, mask, gamma, link, iters):
     work = _workspace(one_col(y, mask), W_aug, np.vstack([C, np.ones((1, 1))]),
                       link)
     return mle._phase_c(C, W_aug, work, gamma, link, iters)[:, 0]
+
+
+def validate_state(state, data=None):
+    """Raise ValueError naming the first invariant a Gibbs state breaks;
+    with data, also check the slack signs at the observed cells."""
+    if not (state.W >= 0).all():
+        raise ValueError("W must be non-negative")
+    if not np.allclose(state.V, state.V.T):
+        raise ValueError("V must be symmetric")
+    if not np.linalg.eigvalsh(state.V)[0] > 0:
+        raise ValueError("V must be positive definite")
+    if not ((state.r > 0) & (state.r < 1)).all():
+        raise ValueError("r must lie in (0, 1)")
+    if not ((state.activity >= 0) & (state.activity <= 1)).all():
+        raise ValueError("activity must lie in [0, 1]")
+    if data is not None:
+        obs_z = state.Z[data.mask]
+        obs_y = data.entries[data.mask]
+        if not ((obs_z > 0) == (obs_y == 1)).all():
+            raise ValueError("Z signs must match the observed responses")
