@@ -102,24 +102,19 @@ def _std_truncnorm_lower(a, rng):
     return out
 
 
-def sample_truncnorm(mean, var, side, rng):
-    """Draw normal variates constrained strictly to one side of zero.
+def sample_truncnorm(mean, var, rng):
+    """Draw normal variates constrained strictly to (0, inf).
 
-    side is "positive" (support (0, inf)) or "negative" ((-inf, 0)).
-    mean and var broadcast; the draws take the broadcast shape.
+    mean and var broadcast; the draws take the broadcast shape.  A draw on
+    (-inf, 0) is the negated draw for the negated mean.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
     if (var <= 0).any():
         raise ValueError("variance must be positive")
-    if side not in ("positive", "negative"):
-        raise ValueError("side must be 'positive' or 'negative'")
     scalar_in = mean.ndim == 0 and var.ndim == 0
     shape = np.broadcast(mean, var).shape
-    # draw on the positive side; a negative draw is a mirrored positive one
     m = mean if mean.shape == shape else np.broadcast_to(mean, shape)
-    if side == "negative":
-        m = -m
     sigma = np.sqrt(var)
     a = -m / sigma
     x = m + sigma * _std_truncnorm_lower(a, rng)
@@ -128,8 +123,6 @@ def sample_truncnorm(mean, var, side, rng):
         bad = x <= 0
         sigma_bad = np.broadcast_to(sigma, shape)[bad]
         x[bad] = m[bad] + sigma_bad * _std_truncnorm_lower(a[bad], rng)
-    if side == "negative":
-        x = -x
     return float(x) if scalar_in else x
 
 
@@ -146,7 +139,7 @@ def sample_rect_normal(m, s, lam, rng):
         raise ValueError("slab variance must be positive")
     if (np.asarray(lam) < 0).any():
         raise ValueError("tilt rate must be non-negative")
-    return sample_truncnorm(m - lam * s, s, "positive", rng)
+    return sample_truncnorm(m - lam * s, s, rng)
 
 
 def rect_normal_logpdf(x, m, s, lam):
@@ -189,12 +182,11 @@ def sample_inv_wishart(scale, df, rng):
 
 
 def step_slack(state: GibbsState, data: ResponseMatrix, rng):
-    """Draw the latent slack at observed entries, sign-matched to Y."""
+    """Draw the latent slack at observed entries, sign-matched to Y: with
+    s = 2y - 1, s * Z is a draw on (0, inf) for the mean s * (W C + mu)."""
     obs = data.observed
-    mean = (state.W @ state.C + state.mu[:, None]).reshape(-1)
-    for cells, side in ((obs.positive, "positive"), (obs.negative, "negative")):
-        if cells.size:
-            np.put(state.Z, cells, sample_truncnorm(mean[cells], 1.0, side, rng))
+    mean = obs.sign * obs.gather(state.W @ state.C + state.mu[:, None])
+    obs.scatter(state.Z, obs.sign * sample_truncnorm(mean, 1.0, rng))
 
 
 def step_difficulty(state: GibbsState, data: ResponseMatrix, mu0: float, rng):
@@ -211,24 +203,14 @@ def step_knowledge(state: GibbsState, data: ResponseMatrix, rng):
     """Draw every learner's knowledge column from its normal conditional.
 
     Each learner's precision uses only the rows of W for the questions
-    that learner answered.  When the dataset is fully observed the
-    precision is shared, so it is factored once.
+    that learner answered.
     """
     W, Z, mu, V = state.W, state.Z, state.mu, state.V
     K, N = state.C.shape
-    Vinv = np.linalg.inv(V)
-    obs = data.observed
-    maskf = obs.float_mask
+    maskf = data.observed.float_mask
     B = W.T @ (maskf * (Z - mu[:, None]))  # (K, N)
     xi = rng.standard_normal((K, N))
-    if isinstance(obs.index, slice):  # every cell observed
-        A = Vinv + W.T @ W
-        Lc = np.linalg.cholesky(A)
-        means = np.linalg.solve(A, B)
-        noise = sla.solve_triangular(Lc.T, xi, lower=False)
-        state.C[:] = means + noise
-        return
-    A = Vinv[None, :, :] + masked_gram(W.T, maskf.T)
+    A = np.linalg.inv(V) + masked_gram(W.T, maskf.T)
     Lc = np.linalg.cholesky(A)
     means = np.linalg.solve(A, B.T[:, :, None])[:, :, 0]
     noise = np.linalg.solve(np.transpose(Lc, (0, 2, 1)), xi.T[:, :, None])[:, :, 0]
@@ -250,38 +232,37 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng):
     column at a time (entries within a column are independent given the
     rest).  Entries whose concept carries no observed signal fall back
     to their prior.
+
+    Every conditional follows from two products made once per call: the
+    masked Gram M_i = sum_j mask_ij c_j c_j^T of each question and the
+    projection P = (mask * (Z - mu)) C^T.
     """
     W, C, Z, mu = state.W, state.C, state.Z, state.mu
     Q, K = W.shape
     maskf = data.observed.float_mask
-    R = Z - mu[:, None] - W @ C
+    gram = masked_gram(C, maskf)  # Q x K x K
+    proj = (maskf * (Z - mu[:, None])) @ C.T  # Q x K
     for k in range(K):
         lam_k = float(state.lam[k])
         r_k = float(state.r[k])
-        ck = C[k]
-        den = maskf @ (ck * ck)
-        num = (maskf * (R + W[:, k, None] * ck)) @ ck
+        den = gram[:, k, k]
+        # the masked residual of every other concept, projected on c_k
+        num = proj[:, k] - (gram[:, k] * W).sum(axis=1) + W[:, k] * den
         good = den > 0.0
-        all_good = bool(good.all())
-        # rows that see observed signal; a slice when all do (the usual case)
-        # reads views instead of boolean-indexed copies
-        rows = slice(None) if all_good else good
-        m_hat = num[rows] / den[rows]
-        s_hat = 1.0 / den[rows]
+        m_hat = num[good] / den[good]
+        s_hat = 1.0 / den[good]
         act = np.full(Q, r_k)
         log_ratio = rect_normal_logpdf(0.0, m_hat, s_hat, lam_k)
-        act[rows] = special.expit(
+        act[good] = special.expit(
             -(log_ratio - np.log(lam_k)) + np.log(r_k) - np.log1p(-r_k)
         )
         active = rng.random(Q) < act
         new_col = np.zeros(Q)
         slab = sample_rect_normal(m_hat, s_hat, lam_k, rng)
-        new_col[rows] = np.where(active[rows], slab, 0.0)
-        if not all_good:
-            fallback = active & ~good
-            if fallback.any():
-                new_col[fallback] = rng.exponential(1.0 / lam_k, int(fallback.sum()))
-        R += (W[:, k] - new_col)[:, None] * ck
+        new_col[good] = np.where(active[good], slab, 0.0)
+        fallback = active & ~good
+        if fallback.any():
+            new_col[fallback] = rng.exponential(1.0 / lam_k, int(fallback.sum()))
         W[:, k] = new_col
         state.activity[:, k] = act
 

@@ -172,7 +172,7 @@ def fit_ksvd(data: ResponseMatrix, config: KsvdConfig):
     worst-represented data row.
     """
     Y = data.entries
-    maskf = data.mask.astype(float)
+    maskf = data.observed.float_mask
     Q, N = Y.shape
     K = config.n_concepts
     s = config.sparsity_vector(Q)

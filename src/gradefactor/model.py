@@ -22,8 +22,8 @@ import numpy as np
 from .links import LinkKind, log_inv_link
 
 
-def _frozen_array(values, dtype=float):
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values):
+    arr = np.array(values, dtype=float)
     arr.setflags(write=False)
     return arr
 
@@ -159,21 +159,6 @@ class ObservedEntries:
     def row_counts(self) -> np.ndarray:
         """Read-only number of observed cells in each row, as floats."""
         return _frozen_array(self.float_mask.sum(axis=1))
-
-    @functools.cached_property
-    def positive(self) -> np.ndarray:
-        """Read-only flat indices of the observed cells with y = 1."""
-        return _frozen_array(self._flat_index()[self.sign > 0], dtype=np.intp)
-
-    @functools.cached_property
-    def negative(self) -> np.ndarray:
-        """Read-only flat indices of the observed cells with y = 0."""
-        return _frozen_array(self._flat_index()[self.sign < 0], dtype=np.intp)
-
-    def _flat_index(self):
-        if isinstance(self.index, slice):
-            return np.arange(self.sign.size)
-        return self.index
 
 
 @dataclass(frozen=True)

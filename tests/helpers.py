@@ -1,6 +1,6 @@
 """Shared independent oracles for the test suite, adapters that run the
 batched ML kernels on a single question row or learner column, and the
-Gibbs sampler's state invariants.
+Gibbs sampler's state invariants and reference steps.
 
 The oracles are built from the math module / scipy.integrate only, so
 oracle values never flow through the code paths they are checking.  The
@@ -12,8 +12,10 @@ fit_ml runs, so solver tests check the estimator's own code.
 import math
 
 import numpy as np
+from scipy import linalg as sla
+from scipy import special
 
-from gradefactor import mle
+from gradefactor import bayes, mle
 from gradefactor.links import LinkKind
 from gradefactor.model import ResponseMatrix
 
@@ -183,3 +185,51 @@ def validate_state(state, data=None):
         obs_y = data.entries[data.mask]
         if not ((obs_z > 0) == (obs_y == 1)).all():
             raise ValueError("Z signs must match the observed responses")
+
+
+def step_weights_residual(state, data, rng):
+    """Reference weight step: the residual form that keeps a dense Q x N
+    residual R = Z - mu - W C and updates it rank-one per concept.  It
+    makes the same draws, in the same order, as bayes.step_weights."""
+    W, C, Z, mu = state.W, state.C, state.Z, state.mu
+    Q, K = W.shape
+    maskf = data.observed.float_mask
+    R = Z - mu[:, None] - W @ C
+    for k in range(K):
+        lam_k = float(state.lam[k])
+        r_k = float(state.r[k])
+        ck = C[k]
+        den = maskf @ (ck * ck)
+        num = (maskf * (R + W[:, k, None] * ck)) @ ck
+        good = den > 0.0
+        m_hat = num[good] / den[good]
+        s_hat = 1.0 / den[good]
+        act = np.full(Q, r_k)
+        log_ratio = bayes.rect_normal_logpdf(0.0, m_hat, s_hat, lam_k)
+        act[good] = special.expit(
+            -(log_ratio - np.log(lam_k)) + np.log(r_k) - np.log1p(-r_k)
+        )
+        active = rng.random(Q) < act
+        new_col = np.zeros(Q)
+        slab = bayes.sample_rect_normal(m_hat, s_hat, lam_k, rng)
+        new_col[good] = np.where(active[good], slab, 0.0)
+        fallback = active & ~good
+        if fallback.any():
+            new_col[fallback] = rng.exponential(1.0 / lam_k, int(fallback.sum()))
+        R += (W[:, k] - new_col)[:, None] * ck
+        W[:, k] = new_col
+        state.activity[:, k] = act
+
+
+def step_knowledge_shared(state, data, rng):
+    """Reference knowledge step for a fully observed matrix: every learner
+    shares the precision V^-1 + W^T W, so one Cholesky factor serves all
+    columns.  Same draws as bayes.step_knowledge."""
+    assert data.mask.all(), "the shared precision needs every cell observed"
+    W, Z, mu, V = state.W, state.Z, state.mu, state.V
+    K, N = state.C.shape
+    B = W.T @ (Z - mu[:, None])
+    xi = rng.standard_normal((K, N))
+    A = np.linalg.inv(V) + W.T @ W
+    Lc = np.linalg.cholesky(A)
+    state.C[:] = np.linalg.solve(A, B) + sla.solve_triangular(Lc.T, xi, lower=False)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special, stats
 
+import gradefactor.bayes as bayes
 from gradefactor.bayes import (
     GibbsState,
     _initial_state,
@@ -21,24 +22,29 @@ from gradefactor.bayes import (
     sample_truncnorm,
     step_covariance,
     step_difficulty,
+    step_knowledge,
     step_slack,
     step_weights,
 )
 from gradefactor.model import ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
-from helpers import validate_state
+from helpers import step_knowledge_shared, step_weights_residual, validate_state
+
+# a divide or overflow in a sampler step is a bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class TestTruncnorm:
     def test_standard_halfnormal_mean(self):
         rng = np.random.default_rng(0)
-        draws = sample_truncnorm(np.full(1_000_000, 0.0), 1.0, "positive", rng)
+        draws = sample_truncnorm(np.full(1_000_000, 0.0), 1.0, rng)
         assert abs(draws.mean() - math.sqrt(2.0 / math.pi)) < 0.003
 
     def test_sign_constraints(self):
         rng = np.random.default_rng(1)
-        pos = sample_truncnorm(np.full(10_000, -1.0), 2.0, "positive", rng)
-        neg = sample_truncnorm(np.full(10_000, 1.5), 0.5, "negative", rng)
+        pos = sample_truncnorm(np.full(10_000, -1.0), 2.0, rng)
+        # a draw on (-inf, 0) is the negated draw for the negated mean
+        neg = -sample_truncnorm(np.full(10_000, -1.5), 0.5, rng)
         assert (pos > 0).all()
         assert (neg < 0).all()
 
@@ -47,30 +53,27 @@ class TestTruncnorm:
         alpha = 8.0
         expected = -8.0 + stats.norm.pdf(alpha) / stats.norm.sf(alpha)
         rng = np.random.default_rng(2)
-        draws = sample_truncnorm(np.full(100_000, -8.0), 1.0, "positive", rng)
+        draws = sample_truncnorm(np.full(100_000, -8.0), 1.0, rng)
         assert np.isfinite(draws).all()
         assert abs(draws.mean() - expected) / abs(expected) < 0.05
 
     def test_bad_variance(self):
         with pytest.raises(ValueError):
-            sample_truncnorm(0.0, 0.0, "positive", np.random.default_rng(0))
+            sample_truncnorm(0.0, 0.0, np.random.default_rng(0))
 
     @pytest.mark.parametrize("mean,var", [(math.nan, 1.0), (-math.inf, 1.0),
                                           (0.5, math.nan)])
     def test_non_finite_parameters_rejected(self, mean, var):
-        # the tail sampler would never accept a draw for these
+        # a non-finite truncation point has no finite inverse-CDF draw,
+        # so it is refused
         with pytest.raises(ValueError):
-            sample_truncnorm(mean, var, "positive", np.random.default_rng(0))
-
-    def test_bad_side(self):
-        with pytest.raises(ValueError):
-            sample_truncnorm(0.0, 1.0, "both", np.random.default_rng(0))
+            sample_truncnorm(mean, var, np.random.default_rng(0))
 
     def test_one_uniform_per_draw(self):
         # means -8 and -30 put their truncation points past 4 sigma, and
         # still take one uniform each
         rng = np.random.default_rng(40)
-        sample_truncnorm([0.5, -8.0, 1.0, -30.0], 1.0, "positive", rng)
+        sample_truncnorm([0.5, -8.0, 1.0, -30.0], 1.0, rng)
         clone = np.random.default_rng(40)
         clone.random(4)
         assert rng.random() == clone.random()
@@ -102,7 +105,7 @@ class TestRectNormal:
         rng1 = np.random.default_rng(3)
         rng2 = np.random.default_rng(3)
         a = sample_rect_normal(np.full(200_000, 0.7), 1.3, 0.0, rng1)
-        b = sample_truncnorm(np.full(200_000, 0.7), 1.3, "positive", rng2)
+        b = sample_truncnorm(np.full(200_000, 0.7), 1.3, rng2)
         assert abs(a.mean() - b.mean()) < 0.01
         assert abs(a.var() - b.var()) < 0.01
 
@@ -178,8 +181,6 @@ class TestWPosteriorStats:
         assert 1.0 - state.activity[0, 0] < 1e-9
 
     def test_single_observation_plugin(self, monkeypatch):
-        import gradefactor.bayes as bayes
-
         seen = []
 
         def recording(m_hat, s_hat, lam, rng, _real=bayes.sample_rect_normal):
@@ -240,6 +241,21 @@ class TestSweepInvariants:
         step_slack(state, data, rng)
         obs = data.mask
         assert ((state.Z[obs] > 0) == (data.entries[obs] == 1)).all()
+
+    def test_slack_is_one_draw_over_every_observed_cell(self, monkeypatch):
+        truth, data = generate_synthetic(SynthConfig(Q=6, N=7, K=2, p_obs=0.7, seed=9))
+        y = data.entries[data.mask]
+        assert 0 < y.sum() < y.size  # both signs observed
+        sizes = []
+
+        def counting(mean, *args, _real=bayes.sample_truncnorm):
+            sizes.append(np.size(mean))
+            return _real(mean, *args)
+
+        monkeypatch.setattr(bayes, "sample_truncnorm", counting)
+        state, rng = make_state(data, 2, 10)
+        step_slack(state, data, rng)
+        assert sizes == [data.n_observed]
 
     def test_slack_draws_uncorrelated_across_entries(self):
         truth, data = generate_synthetic(SynthConfig(Q=3, N=3, K=1, seed=11))
@@ -326,6 +342,48 @@ class TestConjugateSteps:
         assert stats.ks_2samp(draws, oracle).pvalue > 0.01
 
 
+def _copy_state(state):
+    return GibbsState(**{name: np.copy(value) for name, value in vars(state).items()})
+
+
+class TestReferenceSteps:
+    # the batched steps against their reference forms in helpers, on the
+    # same state and the same Generator
+
+    def test_weight_step_matches_residual_form(self):
+        truth, data = generate_synthetic(SynthConfig(Q=12, N=15, K=3, p_obs=0.7, seed=33))
+        mask = data.mask.copy()
+        mask[4] = False  # a question with no observed response
+        data = ResponseMatrix(data.entries, mask)
+        state, rng = make_state(data, 3, 34)
+        for _ in range(5):
+            _sweep(state, data, _resolve(data), rng)
+        # weights on most entries, so every concept's conditional depends
+        # on the others, and a concept with no signal anywhere
+        pick = np.random.default_rng(35)
+        shape = state.W.shape
+        state.W[:] = pick.exponential(1.0, shape) * (pick.random(shape) < 0.7)
+        state.r[:] = 0.6
+        state.C[1] = 0.0
+        new, ref = _copy_state(state), _copy_state(state)
+        step_weights(new, data, np.random.default_rng(36))
+        step_weights_residual(ref, data, np.random.default_rng(36))
+        assert (new.W[:, 1] > 0).any()  # the prior fallback ran
+        np.testing.assert_array_equal(new.W != 0, ref.W != 0)
+        assert np.abs(new.W - ref.W).max() <= 1e-12 * np.abs(ref.W).max()
+        assert np.abs(new.activity - ref.activity).max() <= 1e-12
+
+    def test_knowledge_step_matches_shared_precision(self):
+        truth, data = generate_synthetic(SynthConfig(Q=12, N=15, K=3, p_obs=1.0, seed=37))
+        state, rng = make_state(data, 3, 38)
+        for _ in range(5):
+            _sweep(state, data, _resolve(data), rng)
+        new, ref = _copy_state(state), _copy_state(state)
+        step_knowledge(new, data, np.random.default_rng(39))
+        step_knowledge_shared(ref, data, np.random.default_rng(39))
+        assert np.abs(new.C - ref.C).max() <= 1e-12 * np.abs(ref.C).max()
+
+
 class TestScalarSpikeSlabSampler:
     def test_inclusion_frequency_matches_quadrature(self):
         # one-coordinate model driven through the real weight step
@@ -410,23 +468,23 @@ class TestRunGibbs:
 # any step moves them.
 PINNED_CHAINS = {
     0.7: {
-        "w_mean": (15.563007133994539, 0.22074107075311028, 0.030540330753953626,
-                   0.022057301047887366),
-        "c_mean": (20.28282391507547, -0.597866122361808, -0.16382741622156635,
-                   -0.3170756220123487),
-        "mu_mean": (0.22309149088228808, -0.7071546428813, 0.5723877045507902,
-                    1.1849754456472898),
-        "activity": (9.506558575046437, 0.42129493777804505, 0.10903967813235249,
-                     0.04351417870739477),
+        "w_mean": (17.9052949724023, 0.6736438141087737, 0.07410403995118202,
+                   0.04436731132908804),
+        "c_mean": (11.442621659557359, -0.11057868444479146, -0.5904566204213126,
+                   -0.3047591459577655),
+        "mu_mean": (-1.0157178854290208, -0.6570305698986284, 0.4152589728870855,
+                    1.0783108532020234),
+        "activity": (13.380214871677651, 0.7858222794963383, 0.07242719177266842,
+                     0.09005139225659595),
     },
     1.0: {
-        "w_mean": (33.78660349127371, 0.9859931660510213, 0.0, 0.1570613051968312),
-        "c_mean": (28.392701549893726, -0.977416965026257, -2.32404264979659,
-                   0.13922151364327193),
-        "mu_mean": (-1.3637280748000857, -0.6955318379943066, 0.657674904097542,
-                    1.2016016932759421),
-        "activity": (16.19359949259644, 0.9999699139687575, 0.01423427018828383,
-                     0.14016981717625043),
+        "w_mean": (30.297040535682097, 0.5375009382137383, 0.0, 0.013019972748226005),
+        "c_mean": (30.589175686861076, -0.7967081723914959, -2.2170698685652104,
+                   0.2907943596858996),
+        "mu_mean": (-0.8101512851542214, -0.48615107047528827, 0.6609609415301392,
+                    1.3877721432882204),
+        "activity": (16.074430791953144, 0.9865447413941567, 0.011551427301471186,
+                     0.038631353115477676),
     },
 }
 
