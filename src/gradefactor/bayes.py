@@ -110,7 +110,7 @@ def sample_truncnorm(mean, var, rng):
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
-    if (var <= 0).any():
+    if not (var > 0).all():  # NaN included
         raise ValueError("variance must be positive")
     scalar_in = mean.ndim == 0 and var.ndim == 0
     shape = np.broadcast(mean, var).shape
@@ -135,9 +135,9 @@ def sample_rect_normal(m, s, lam, rng):
     """
     m = np.asarray(m, dtype=float)
     s = np.asarray(s, dtype=float)
-    if (s <= 0).any():
+    if not (s > 0).all():  # NaN included
         raise ValueError("slab variance must be positive")
-    if (np.asarray(lam) < 0).any():
+    if not (np.asarray(lam) >= 0).all():
         raise ValueError("tilt rate must be non-negative")
     return sample_truncnorm(m - lam * s, s, rng)
 

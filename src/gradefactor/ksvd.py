@@ -22,6 +22,11 @@ _ATOM_NORM_TOL = 1e-10
 # a support Gram whose smallest eigenvalue is at most this fraction of its
 # largest counts as singular in nn_omp, which then refits that row by NNLS
 _RCOND = 1e-10
+# nn_omp takes no atom whose inner product with the residual is at most
+# this fraction of the row's observed norm times the largest atom's: such
+# a score is roundoff, as when the residual is already orthogonal to
+# every atom
+_SCORE_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,8 +74,9 @@ def nn_omp(dictionary, target, s, mask=None):
 
     Each row greedily picks the atom with the largest (signed, not
     absolute) inner product with its residual, then refits all its
-    selected coefficients; it stops early once no remaining atom has a
-    positive inner product, so with none at the first step its row of
+    selected coefficients; it stops early once no remaining atom's inner
+    product exceeds _SCORE_RTOL times the row's observed norm times the
+    largest observed atom norm, so with none at the first step its row of
     zeros comes back.  The work is in Gram form: with the row's masked
     Gram G = sum_j m_j c_j c_j^T and b = sum_j m_j y_j c_j, the inner
     products are b - G x, and one batched solve of G_SS x_S = b_S refits
@@ -92,6 +98,8 @@ def nn_omp(dictionary, target, s, mask=None):
     maskf = mask.astype(float)
     gram = masked_gram(D, maskf)  # Q x K x K
     b = (maskf * Y) @ D.T  # Q x K
+    atom_sq = np.diagonal(gram, axis1=1, axis2=2).max(axis=1, initial=0.0)
+    floor = _SCORE_RTOL * np.sqrt((maskf * Y * Y).sum(axis=1) * atom_sq)
     coef = np.zeros((Q, K))
     picked = np.zeros((Q, K), dtype=bool)
     support = np.empty((Q, K), dtype=np.intp)  # each row's picks in order
@@ -101,7 +109,7 @@ def nn_omp(dictionary, target, s, mask=None):
         scores = b[rows] - (gram[rows] @ coef[rows, :, None])[:, :, 0]
         scores[picked[rows]] = -np.inf
         pick = scores.argmax(axis=1)
-        going = scores[np.arange(len(rows)), pick] > 0
+        going = scores[np.arange(len(rows)), pick] > floor[rows]
         rows, pick = rows[going], pick[going]
         if not len(rows):
             break

@@ -36,26 +36,31 @@ _L_FLOOR = 1e-12
 _BATCH_CELLS = 32_768
 # a fit splits its members into stacks for a thread pool only while each
 # stack keeps at least this many cells: a smaller one spends its steps
-# mostly in Python overhead under the interpreter lock, so a second thread
-# adds contention, not speed.  Probit breaks even near 2000 cells: with
-# BLAS on one thread, K = 5 and 25 outer iterations, the split on 2
-# threads against one stack on the calling thread (medians of 7
-# alternating rounds, two sets) ran 2 restarts at 50 x 50 (2500 cells)
-# in 0.189 / 0.203 s against 0.187 / 0.188 s (faster in 3 of 7 each), and
-# paid above it: 2 restarts at 80 x 100 0.373 / 0.349 s against 0.475 /
-# 0.458 s (5 and 7 of 7), at 100 x 160 0.502 / 0.504 s against 0.932 /
-# 0.856 s, 3 at 60 x 100 0.473 / 0.401 s against 0.600 / 0.552 s, and BIC
-# over 4 lambdas x 2 restarts at 34 x 99 0.560 / 0.497 s against 0.858 /
-# 0.811 s and at 40 x 50 0.346 / 0.330 s against 0.471 / 0.495 s (7 of 7
-# in both sets).  No logit split measured paid, its cheaper kernels
-# releasing the lock for less time: with BLAS on one thread, 5 BIC fits
-# of 34 x 99 (4 lambdas x 2 restarts, 25 outer iterations) ran faster as
-# one stack of 8 on 1 thread than as two stacks of 4 (13464 cells each)
-# on 2 threads in 20 of 28 alternating rounds (medians 1.02 / 0.96 /
-# 1.13 s against 1.06 / 1.12 / 1.20 s in three sets), as did restarts in
-# one stack against one per thread (15 outer iterations): 2 at 80 x 100
-# and at 100 x 160 in 7 of 7 rounds each, 3 at 100 x 100 in 5 of 7.
-_SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 2_000, LinkKind.LOGIT: 16_384}
+# mostly in Python overhead under the interpreter lock, so a second
+# thread adds contention, not speed.  Probit breaks even near 6000 cells:
+# with BLAS on one thread, K = 5, lambda 1 and 25 outer iterations, the
+# split on 2 threads against one stack on the calling thread (medians of
+# 7 alternating rounds) ran 2 restarts at 50 x 50 in 0.243 / 0.163 s
+# against 0.157 / 0.109 s (faster in 0 and 1 of 7), at 60 x 60 0.238 s
+# against 0.162 s (0 of 7), at 70 x 80 0.272 s against 0.269 s (2 of 7),
+# and BIC over 4 lambdas x 2 restarts at 20 x 50 (two stacks of 4000
+# cells) 0.238 s against 0.238 s (2 of 7).  It paid from 8000 cells: 2
+# restarts at 80 x 100 0.406 / 0.327 / 0.308 s against 0.393 / 0.362 /
+# 0.371 s (5, 7 and 5 of 7), at 100 x 120 0.370 s against 0.519 s (6 of
+# 7), at 100 x 160 0.487 / 0.448 s against 0.681 / 0.675 s, and BIC at
+# 34 x 99 0.437 / 0.394 / 0.425 s against 0.668 / 0.558 / 0.638 s (7 of
+# 7 in each set) and at 40 x 50 0.301 / 0.300 s against 0.362 / 0.382 s
+# (7 and 6 of 7); 3 restarts at 60 x 100, split into stacks of 12000 and
+# 6000 cells, broke even (0.433 / 0.369 s against 0.427 / 0.372 s, 4 of
+# 7 each).  No logit split measured paid, its cheaper kernels releasing
+# the lock for less time: with BLAS on one thread, 5 BIC fits of 34 x 99
+# (4 lambdas x 2 restarts, 25 outer iterations) ran faster as one stack
+# of 8 on 1 thread than as two stacks of 4 (13464 cells each) on 2
+# threads in 20 of 28 alternating rounds (medians 1.02 / 0.96 / 1.13 s
+# against 1.06 / 1.12 / 1.20 s in three sets), as did restarts in one
+# stack against one per thread (15 outer iterations): 2 at 80 x 100 and
+# at 100 x 160 in 7 of 7 rounds each, 3 at 100 x 100 in 5 of 7.
+_SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 8_000, LinkKind.LOGIT: 16_384}
 
 
 @dataclass(frozen=True)

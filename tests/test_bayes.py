@@ -69,6 +69,12 @@ class TestTruncnorm:
         with pytest.raises(ValueError):
             sample_truncnorm(mean, var, np.random.default_rng(0))
 
+    def test_nan_variance_named(self):
+        with pytest.raises(ValueError, match="variance must be positive"):
+            sample_truncnorm(0.0, math.nan, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="variance must be positive"):
+            sample_truncnorm([0.0, 1.0], [1.0, math.nan], np.random.default_rng(0))
+
     def test_one_uniform_per_draw(self):
         # means -8 and -30 put their truncation points past 4 sigma, and
         # still take one uniform each
@@ -135,6 +141,16 @@ class TestRectNormal:
     def test_invalid_scale(self):
         with pytest.raises(ValueError):
             sample_rect_normal(0.0, -1.0, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("s,lam,message", [
+        (math.nan, 1.0, "slab variance must be positive"),
+        (1.0, math.nan, "tilt rate must be non-negative"),
+        ([1.0, math.nan], 0.5, "slab variance must be positive"),
+        (1.0, [0.5, math.nan], "tilt rate must be non-negative"),
+    ])
+    def test_nan_parameter_named(self, s, lam, message):
+        with pytest.raises(ValueError, match=message):
+            sample_rect_normal([0.0, 0.5], s, lam, np.random.default_rng(0))
 
 
 class TestInvWishart:

@@ -14,15 +14,18 @@ from gradefactor.model import ResponseMatrix
 
 def nn_omp_row_reference(D, target, s):
     """One row of non-negative OMP as a loop: pick the atom with the
-    largest inner product with the residual, refit the support by NNLS."""
+    largest inner product with the residual, refit the support by NNLS.
+    Stops when that inner product is roundoff against the row's norm
+    times the largest atom norm."""
     coef = np.zeros(D.shape[0])
     support = []
     residual = target.copy()
+    floor = ksvd._SCORE_RTOL * np.linalg.norm(target) * np.linalg.norm(D, axis=1).max()
     for _ in range(s):
         scores = D @ residual
         scores[support] = -np.inf
         pick = int(np.argmax(scores))
-        if scores[pick] <= 0:
+        if scores[pick] <= floor:
             break
         support.append(pick)
         sol, _ = optimize.nnls(D[support].T, target)
@@ -89,6 +92,22 @@ class TestNnOmp:
                         s for s, v in zip(support, sol) if v > 1e-8
                     )
             assert got == best_support
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_orthogonal_residual_gets_no_extra_pick(self, masked):
+        # each row is exactly 1.7 atom 0 + 0.6 atom 2 on its observed
+        # cells: once both are picked every other score is roundoff, whose
+        # sign picked one or more extra atoms in most rows under a "> 0"
+        # rule
+        rng = np.random.default_rng(32)
+        Q, N = 40, 30
+        D = rng.normal(size=(5, N))
+        D /= np.linalg.norm(D, axis=1, keepdims=True)
+        Y = np.tile(1.7 * D[0] + 0.6 * D[2], (Q, 1))
+        mask = rng.random((Q, N)) < 0.8 if masked else np.ones((Q, N), dtype=bool)
+        got = nn_omp(D, Y, 5, mask)
+        np.testing.assert_array_equal(got != 0, np.tile([1, 0, 1, 0, 0], (Q, 1)) != 0)
+        np.testing.assert_allclose(got[:, [0, 2]], np.tile([1.7, 0.6], (Q, 1)), rtol=1e-12)
 
     def test_budget_respected(self):
         rng = np.random.default_rng(31)

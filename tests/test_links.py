@@ -1,8 +1,10 @@
 """Link-function values, stability in the tails, and hazard slope bounds."""
 
 import math
+import tracemalloc
 from decimal import Decimal, getcontext
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
@@ -137,9 +139,39 @@ class TestLogLikEntry:
             entry_log_lik(1, float("nan"), LinkKind.LOGIT)
 
 
+def probit_hazard_oracle(x):
+    """N(x)/Phi(x) at 40 significant digits, rounded to the nearest double."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(float(x))
+        return float(mpmath.npdf(t) / mpmath.ncdf(t))
+
+
 class TestProbitHazard:
+    def test_within_128_ulp_of_exact_on_the_fitting_range(self):
+        # exp over ndtr from the cut at -8 up; the worst cells are large
+        # positive x, where the erfcx form is off by as much
+        x = np.linspace(-8.0, 8.0, 6401)
+        exact = np.array([probit_hazard_oracle(v) for v in x])
+        err = ulps(probit_hazard(x), exact)
+        assert err.max() <= 128
+        assert np.median(err) <= 4
+
+    def test_below_the_cut_within_4_ulp_of_exact(self):
+        x = np.linspace(-40.0, -8.0, 321)
+        exact = np.array([probit_hazard_oracle(v) for v in x])
+        assert ulps(probit_hazard(x), exact).max() <= 4
+
+    def test_tail_cells_survive_a_nan(self):
+        # a NaN cell stays NaN and does not hide the others from the cut
+        x = np.array([-1e3, np.nan, -20.0, 0.0])
+        got = probit_hazard(x)
+        assert np.isnan(got[1])
+        np.testing.assert_array_equal(got[[0, 2, 3]], probit_hazard(x[[0, 2, 3]]))
+        assert got[0] == pytest.approx(1e3, rel=1e-6)
+
     def test_value_at_zero(self):
         assert probit_hazard(0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
+        assert isinstance(probit_hazard(0.0), float)  # scalar in, scalar out
 
     def test_far_tail_matches_mills_oracle(self):
         x = -20.0
@@ -246,10 +278,29 @@ class TestInPlaceKernels:
         assert kernel(x, link, out=x) is x
         assert x.tobytes() == expected.tobytes()
 
-    def test_probit_hazard_is_the_erfcx_formula(self):
-        # -x / sqrt(2) negates first; the kernel divides by -sqrt(2)
-        formula = math.sqrt(2.0 / math.pi) / special.erfcx(-self.GRID / math.sqrt(2.0))
-        assert hazard(self.GRID, LinkKind.PROBIT).tobytes() == formula.tobytes()
+    def test_probit_hazard_below_the_cut_is_the_erfcx_formula(self):
+        # cells below the cut at -8 keep the erfcx form bitwise, which stays
+        # accurate where N and Phi underflow (-x / sqrt(2) negates first;
+        # the kernel divides by -sqrt(2)); the GRID raises no warning
+        # (module filter)
+        got = hazard(self.GRID, LinkKind.PROBIT)
+        low = self.GRID < -8.0
+        formula = math.sqrt(2.0 / math.pi) / special.erfcx(-self.GRID[low] / math.sqrt(2.0))
+        assert low.sum() == 2 + 128
+        assert got[low].tobytes() == formula.tobytes()
+        assert np.isfinite(got).all() and (got >= 0).all()
+
+    def test_probit_hazard_makes_one_temporary(self):
+        # numpy reports its array allocations to tracemalloc
+        x = np.random.default_rng(4).normal(0.0, 3.0, 100_000)
+        x[7] = -50.0  # a cell below the cut takes the erfcx path too
+        tracemalloc.start()
+        try:
+            probit_hazard(x, out=x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * x.nbytes
 
     @pytest.mark.parametrize("link", list(LinkKind))
     def test_nan_rejected_with_out(self, link):

@@ -40,6 +40,10 @@ from helpers import (
     solve_row,
 )
 
+# a divide, overflow or invalid operation in a kernel the solver calls is
+# a bug, not noise
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 LINKS = [LinkKind.PROBIT, LinkKind.LOGIT]
 
 
@@ -506,7 +510,8 @@ class TestFit:
 
     @pytest.mark.parametrize("link,Q,N,pooled", [
         (LinkKind.PROBIT, 40, 49, False),
-        (LinkKind.PROBIT, 40, 50, True),
+        (LinkKind.PROBIT, 80, 99, False),
+        (LinkKind.PROBIT, 80, 100, True),
         (LinkKind.LOGIT, 60, 99, False),
         (LinkKind.LOGIT, 127, 129, False),
         (LinkKind.LOGIT, 128, 128, True),
@@ -537,9 +542,9 @@ class TestFit:
         (8, 10_000, LinkKind.LOGIT, 1, [3, 3, 2]),
         (3, 60_000, LinkKind.PROBIT, 1, [1, 1, 1]),
         (3, 60_000, LinkKind.PROBIT, 8, [1, 1, 1]),
-        (5, 1_000, LinkKind.PROBIT, 8, [3, 2]),
+        (5, 1_000, LinkKind.PROBIT, 8, [5]),
         (1, 60_000, LinkKind.PROBIT, 2, [1]),
-        (8, 3366, LinkKind.PROBIT, 4, [2, 2, 2, 2]),
+        (8, 3366, LinkKind.PROBIT, 4, [4, 4]),
         (4, 8192, LinkKind.LOGIT, 4, [2, 2]),
     ])
     def test_member_chunks(self, n_members, cells, link, n_threads, sizes):
