@@ -33,7 +33,7 @@ from scipy import special
 
 from .links import LinkKind
 from .model import (FactorModel, ResponseMatrix, check_count, check_dimensions,
-                    masked_gram)
+                    check_observed, masked_gram)
 
 _TAIL_THRESHOLD = 4.0
 _PD_JITTER = 1e-10
@@ -283,11 +283,8 @@ def step_inclusion(state: GibbsState, rng):
 
 def _resolve(data: ResponseMatrix) -> float:
     """The prior mean mu0 of the difficulties: the probit pull-back of the
-    observed correct rate, clipped away from 0 and 1, or 0 when no cell
-    is observed."""
-    if data.n_observed == 0:
-        return 0.0
-    rate = float(data.entries[data.mask].mean())
+    observed correct rate, clipped away from 0 and 1."""
+    rate = np.count_nonzero(data.entries) / data.n_observed
     rate = min(max(rate, 1e-6), 1.0 - 1e-6)
     return float(special.ndtri(rate))
 
@@ -335,8 +332,10 @@ def run_gibbs(data: ResponseMatrix, K: int, burn_in: int = 30_000,
     experiments typically use a couple of thousand each.  Statistics are
     accumulated over the post-burn-in sweeps only.  K, burn_in and
     n_samples must be integers >= 1; rng is a Generator, None, or an
-    integer seed >= 0.
+    integer seed >= 0.  A matrix with no observed response raises
+    ValueError.
     """
+    check_observed(data)
     check_dimensions(data.Q, data.N, K)
     check_count("burn_in", burn_in)
     check_count("n_samples", n_samples)

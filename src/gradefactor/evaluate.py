@@ -97,9 +97,8 @@ def predict_heldout(model: FactorModel, heldout: ResponseMatrix):
         raise ValueError("held-out set is empty")
     probs = inv_link(slack(model), model.link)[heldout.mask]
     y = heldout.entries[heldout.mask]
-    predictions = (probs >= 0.5).astype(float)
-    accuracy = float((predictions == y).mean())
-    likelihood = float(np.where(y == 1.0, probs, 1.0 - probs).mean())
+    accuracy = float(((probs >= 0.5) == y).mean())
+    likelihood = float(np.where(y, probs, 1.0 - probs).mean())
     return accuracy, likelihood
 
 

@@ -54,7 +54,8 @@ def write_response_csv(path, data: ResponseMatrix, question_ids=None,
                        learner_ids=None):
     question_ids = question_ids or default_question_ids(data.Q)
     learner_ids = learner_ids or default_learner_ids(data.N)
-    # entries are 0 wherever the mask is False, so this is the cell code
+    # entries are False wherever the mask is, so mask + entries is the cell
+    # code; the uint8 cast makes + add, as bool + bool is a logical or
     codes = data.mask + data.entries.astype(np.uint8)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .model import ResponseMatrix, check_count, masked_gram
+from .model import ResponseMatrix, check_count, check_observed, masked_gram
 
 # atoms with norm below this are treated as dead and re-seeded
 _ATOM_NORM_TOL = 1e-10
@@ -177,9 +177,11 @@ def fit_ksvd(data: ResponseMatrix, config: KsvdConfig):
 
     Returns (W, C) with W respecting the per-row sparsity budgets and
     W >= 0 elementwise.  Atoms used by no question are re-seeded from the
-    worst-represented data row.
+    worst-represented data row.  A matrix with no observed response
+    raises ValueError.
     """
-    Y = data.entries
+    check_observed(data)
+    Y = data.entries.astype(float)
     maskf = data.observed.float_mask
     Q, N = Y.shape
     K = config.n_concepts

@@ -23,7 +23,7 @@ import numpy as np
 
 from .links import LinkKind, hazard, log_inv_link, scalar_lipschitz
 from .model import (FactorModel, ResponseMatrix, check_count, check_dimensions,
-                    check_real, log_likelihood, masked_gram)
+                    check_observed, check_real, log_likelihood, masked_gram)
 
 _L_FLOOR = 1e-12
 # the members of one fit (its restarts, and with a lambda grid every
@@ -460,8 +460,7 @@ def _fit_grid(data, K, config, lambdas, n_threads):
     (seeded from config.seed, the same for every lambda) per lambda, and
     return each lambda's best restart as (model, trace), in order."""
     check_count("n_threads", n_threads)
-    if data.n_observed == 0:
-        raise ValueError("cannot fit: no observed responses")
+    check_observed(data)
     check_dimensions(data.Q, data.N, K)
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     members = [(lam, seed) for lam in lambdas for seed in seeds]

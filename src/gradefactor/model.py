@@ -1,8 +1,8 @@
 """Core data model: graded-response matrices and factorizations.
 
-A response dataset is a Q x N binary matrix together with a boolean
-observation mask; entries outside the mask are missing (unassigned
-questions), never sentinel values.  A factorization holds the
+A response dataset is a Q x N bool matrix of correct answers together
+with a bool observation mask; entries outside the mask are missing
+(unassigned questions), never sentinel values.  A factorization holds the
 non-negative question--concept weights W (Q x K), the real-valued
 learner concept knowledge C (K x N), the per-question difficulty
 offsets mu (larger = easier), and the link choice.  The rank-one
@@ -59,6 +59,12 @@ def check_dimensions(Q, N, K):
             "expects far fewer concepts than questions or learners",
             stacklevel=3,
         )
+
+
+def check_observed(data):
+    """Raise ValueError unless data has an observed response to fit."""
+    if not data.mask.any():
+        raise ValueError("cannot fit: no observed responses")
 
 
 def _flat_cells(Z):
@@ -165,16 +171,23 @@ class ObservedEntries:
 class ResponseMatrix:
     """Binary graded responses with an observation mask.
 
-    entries : (Q, N) array of {0, 1}; values at unobserved positions are
-        ignored.
-    mask : (Q, N) boolean array, True where a graded response was observed.
+    entries : (Q, N) responses.  Bool entries are taken as they are; int
+        or float entries must be 0 or 1 at the observed cells and may be
+        anything, NaN included, elsewhere.
+    mask : (Q, N) array, True where a graded response was observed; None
+        observes every cell.
+
+    Both are copied into read-only bool arrays, 2 bytes per cell in all,
+    and no float array is built from bool input: `entries` is True where
+    an observed response is correct and False everywhere else, unobserved
+    cells included.
     """
 
     entries: np.ndarray
     mask: np.ndarray = None
 
     def __post_init__(self):
-        entries = np.array(self.entries, dtype=float)
+        entries = np.asarray(self.entries)
         if entries.ndim != 2 or entries.shape[0] < 1 or entries.shape[1] < 1:
             raise ValueError("entries must be a Q x N matrix with Q, N >= 1")
         if self.mask is None:
@@ -183,15 +196,17 @@ class ResponseMatrix:
             mask = np.array(self.mask, dtype=bool)
         if mask.shape != entries.shape:
             raise ValueError("mask shape must match entries shape")
-        # NaN compares unequal to both, so it is rejected too
-        if ((entries != 0.0) & (entries != 1.0) & mask).any():
-            raise ValueError("observed entries must be 0 or 1")
-        # np.array made entries a copy, so the unobserved cells (NaN among
-        # them) are zeroed in place rather than through a second Q x N copy
-        entries[~mask] = 0.0
-        entries.setflags(write=False)
+        if entries.dtype == bool:
+            correct = entries & mask
+        else:
+            correct = entries == 1
+            # NaN compares unequal to both, so it is rejected too
+            if ((entries != 0) & ~correct & mask).any():
+                raise ValueError("observed entries must be 0 or 1")
+            correct &= mask
+        correct.setflags(write=False)
         mask.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", correct)
         object.__setattr__(self, "mask", mask)
 
     @property

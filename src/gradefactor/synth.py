@@ -98,6 +98,6 @@ def generate_synthetic(config: SynthConfig):
     mu = rng.normal(0.0, np.sqrt(config.v_mu), Q)
     truth = FactorModel(W, C, mu, config.link)
     probs = inv_link(slack(truth), config.link)
-    Y = (rng.random((Q, N)) < probs).astype(float)
+    correct = rng.random((Q, N)) < probs
     mask = rng.random((Q, N)) < config.p_obs
-    return truth, ResponseMatrix(np.where(mask, Y, 0.0), mask)
+    return truth, ResponseMatrix(correct, mask)

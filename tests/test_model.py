@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,13 @@ def phi(z):
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
+# responses as a caller may hold them: bool, int or float, each with a
+# value it may hold off the mask
+INPUT_DTYPES = pytest.mark.parametrize("dtype", [bool, np.int64, float],
+                                       ids=["bool", "int", "float"])
+UNOBSERVED = {bool: True, np.int64: 7, float: math.nan}
+
+
 class TestResponseMatrix:
     def test_rejects_non_binary_observed(self):
         with pytest.raises(ValueError):
@@ -33,24 +41,76 @@ class TestResponseMatrix:
 
     def test_ignores_values_outside_mask(self):
         data = ResponseMatrix([[0.0, 7.0]], [[True, False]])
-        assert data.entries[0, 1] == 0.0
+        assert not data.entries[0, 1]
         assert data.n_observed == 1
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.0, -1.0])
+    # the value's own dtype is the input's; bool has no bad value
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf, 2.0, -1.0,
+        pytest.param(np.int64(2), id="int-2"), pytest.param(np.int64(-1), id="int--1"),
+    ])
     def test_rejects_bad_value_at_observed_cell(self, value):
         with pytest.raises(ValueError, match="observed entries must be 0 or 1"):
-            ResponseMatrix([[1.0, value]], [[True, True]])
+            ResponseMatrix(np.array([[1, value]], dtype=np.asarray(value).dtype),
+                           [[True, True]])
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.0])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, 2.0,
+        pytest.param(np.int64(2), id="int-2"), pytest.param(np.True_, id="bool-True"),
+    ])
     def test_accepts_any_value_at_unobserved_cell(self, value):
-        entries = np.array([[1.0, value]])
+        dtype = np.asarray(value).dtype
+        entries = np.array([[1, value]], dtype=dtype)
         data = ResponseMatrix(entries, [[True, False]])
-        assert data.entries.tolist() == [[1.0, 0.0]]
-        assert np.array_equal(entries, [[1.0, value]], equal_nan=True)
+        assert data.entries.tolist() == [[True, False]]
+        assert np.array_equal(entries, np.array([[1, value]], dtype=dtype), equal_nan=True)
 
     def test_mask_shape_checked(self):
+        for dtype in (bool, np.int64, float):
+            with pytest.raises(ValueError):
+                ResponseMatrix(np.zeros((2, 2), dtype=dtype), np.ones((2, 3), dtype=bool))
+
+    @INPUT_DTYPES
+    def test_entries_are_read_only_bool_false_off_mask(self, dtype):
+        rng = np.random.default_rng(66)
+        mask = rng.random((6, 7)) < 0.6
+        correct = rng.random((6, 7)) < 0.5
+        entries = np.where(mask, correct, UNOBSERVED[dtype]).astype(dtype)
+        data = ResponseMatrix(entries, mask)
+        assert data.entries.dtype == bool and data.mask.dtype == bool
+        assert not data.entries.flags.writeable and not data.mask.flags.writeable
         with pytest.raises(ValueError):
-            ResponseMatrix(np.zeros((2, 2)), np.ones((2, 3), dtype=bool))
+            data.entries[0, 0] = True
+        assert np.array_equal(data.entries, correct & mask)
+        assert np.array_equal(data.mask, mask)
+
+    @INPUT_DTYPES
+    def test_caller_changes_do_not_reach_data(self, dtype):
+        rng = np.random.default_rng(67)
+        mask = rng.random((6, 7)) < 0.6
+        correct = rng.random((6, 7)) < 0.5
+        entries = correct.astype(dtype)
+        data = ResponseMatrix(entries, mask)
+        want_entries, want_mask = correct & mask, mask.copy()
+        entries[...] = 1 - entries
+        mask[...] = ~mask
+        assert np.array_equal(data.entries, want_entries)
+        assert np.array_equal(data.mask, want_mask)
+
+    def test_bool_input_makes_no_float_copy(self):
+        # numpy reports its array allocations to tracemalloc; the matrix's
+        # own two bool arrays take 2 bytes a cell, a float64 copy 8
+        Q, N = 300, 500
+        rng = np.random.default_rng(68)
+        correct = rng.random((Q, N)) < 0.5
+        mask = rng.random((Q, N)) < 0.1
+        tracemalloc.start()
+        try:
+            ResponseMatrix(correct, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * Q * N
 
 
 class TestObservedScatter:
