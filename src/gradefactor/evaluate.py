@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as sopt
 
 from .links import inv_link
 from .model import FactorModel, ResponseMatrix, slack
@@ -56,7 +55,9 @@ def match_permutation(W_true, W_est, C_true, C_est):
     Ct = _unit_rows(np.asarray(C_true, dtype=float))
     Ce = _unit_rows(np.asarray(C_est, dtype=float))
     score = Wt.T @ We + Ct @ Ce.T  # score[a, b]: truth a vs estimate b
-    _, cols = sopt.linear_sum_assignment(-score)
+    # imported here, so that a fit never loads scipy.optimize
+    from scipy.optimize import linear_sum_assignment
+    _, cols = linear_sum_assignment(-score)
     return np.asarray(cols, dtype=int)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .model import ResponseMatrix, check_count, check_observed, masked_gram
 
@@ -121,8 +120,10 @@ def nn_omp(dictionary, target, s, mask=None):
         coef[rows] = 0.0
         coef[rows[fits, None], S[fits]] = sol[fits]
         for i, S_i in zip(rows[~fits], S[~fits]):
+            # imported here, so that only this fallback loads scipy.optimize
+            from scipy.optimize import nnls
             obs = mask[i]
-            coef[i, S_i], _ = optimize.nnls(D[S_i][:, obs].T, Y[i, obs])
+            coef[i, S_i], _ = nnls(D[S_i][:, obs].T, Y[i, obs])
     return coef[0] if single else coef
 
 

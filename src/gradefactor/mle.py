@@ -61,6 +61,20 @@ _BATCH_CELLS = 32_768
 # stack against one per thread (15 outer iterations): 2 at 80 x 100 and
 # at 100 x 160 in 7 of 7 rounds each, 3 at 100 x 100 in 5 of 7.
 _SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 8_000, LinkKind.LOGIT: 16_384}
+# the slack is formed block by block of at most this many cells (512 KiB),
+# each block's observed cells gathered while it is still in cache, instead
+# of as one dense product written out to memory and read back at the
+# observed cells.  One slack evaluation (mean of the row and column
+# phases' forms) at 1000 x 2000, K = 5, p_obs 0.1, BLAS on one thread,
+# medians of 15 alternating rounds in each of 4 runs: the dense product
+# and gather took 3.1-3.2 ms; blocks of 2^13 ... 2^18 cells 2.8-3.7,
+# 2.1-2.4, 1.6-2.0, 1.4-1.9, 1.4-1.8 and 2.2-2.5 ms (a 2 MiB L2 cache per
+# core).  At 400 x 1000 the dense form took 0.59 ms and 2^15 ... 2^18
+# cells 0.35, 0.32, 0.29 and 0.44 ms; at 1000 x 2000, p_obs 0.3, 3.9 ms
+# and 2.2, 2.0, 1.9 and 3.0 ms.  2^16 and 2^17 tie; the smaller keeps the
+# workspace smaller, and every multi-member stack (_BATCH_CELLS) stays one
+# block.
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -159,18 +173,31 @@ class _Workspace:
     m*N...; each B x ... array below has one matrix or row per member.
 
     obs : the observed cells of the response matrix.
-    slack : B x Q x N slack Z of the iterate being evaluated, filled by
-        np.matmul(..., out=).
     buf : B x Q x N, zero at every unobserved cell.  The kernels scatter
         their per-cell values into it, so masked gradients and per-row or
         per-column sums are plain dense operations on it.
-    cells : B x n_observed, the observed cells of s * Z, which the link
-        kernels overwrite with their values in place.
+    cells : B x n_observed, the observed cells of the slack of the
+        iterate being evaluated, filled block by block (no Q x N slack is
+        formed), which the link kernels sign and then overwrite with their
+        values in place.
     loglik : B x n_observed, the log-likelihood of each observed cell at
         the current iterate.  Each phase reads its incoming objective from
         it and evaluates the link once, at its end point.  Observed cells,
         not a third Q x N array per member, so that the workspace is no
         larger than the temporaries it replaced.
+    scratch : room for one block of the slack: the same rows of every
+        member, as many as fit in _BLOCK_CELLS cells but at least two, and
+        one more in a last block that a single leftover row joins.  None
+        when every cell is observed: the cells are then the dense slack
+        itself, and each product is written straight into them.
+    plan : one (lo, hi, cells, index) per block of rows lo:hi that holds
+        an observed cell, in order; blocks with none are skipped.  The
+        block's slack goes into scratch, and its observed cells, at the
+        positions `index` within the block (obs.index shifted to row lo),
+        are gathered into cells[:, cells] while the block is still in
+        cache.  Found once, with searchsorted on obs.index.  A stack of at
+        most _BLOCK_CELLS cells, every multi-member stack among them, is
+        one block: one batched product, as a dense slack was.
 
     The cache starts at the slack W_aug @ C_aug of the first iterate,
     C_aug being C with a trailing all-ones row.  One workspace per stack,
@@ -181,10 +208,21 @@ class _Workspace:
         Q, N = obs.shape
         B = W_aug.shape[0] // Q
         self.obs = obs
-        self.slack = np.empty((B, Q, N))
         self.buf = np.zeros((B, Q, N))
         self.cells = np.empty((B,) + obs.sign.shape)
         self.loglik = np.empty((B,) + obs.sign.shape)
+        self.scratch = self.plan = None
+        if not isinstance(obs.index, slice):
+            # a block of one row would be a matrix-vector product, whose
+            # sums round differently from a matrix product's: a last row
+            # left over joins the block before it
+            rows = min(Q, max(2, _BLOCK_CELLS // (B * N)))
+            bounds = np.append(np.arange(0, max(Q - 1, 1), rows), Q)
+            ends = np.searchsorted(obs.index, bounds * N)
+            self.scratch = np.empty(B * int(np.diff(bounds).max()) * N)
+            self.plan = [(lo, hi, slice(a, b), obs.index[a:b] - lo * N)
+                         for lo, hi, a, b in zip(bounds[:-1], bounds[1:],
+                                                 ends[:-1], ends[1:]) if b > a]
         _log_lik_cells(_slack(W_aug, C_aug, self), self, link)
         self.cells, self.loglik = self.loglik, self.cells
 
@@ -200,16 +238,12 @@ class _Workspace:
 
     def accept(self, rejected):
         """Cache the cell log-likelihoods of a phase's end point, which
-        cells and buf hold, except in the rows or columns where the
-        boolean rejected (B x Q x 1 or B x 1 x N) is set: those were put
-        back to the incoming iterate, whose cached cells stay."""
+        cells holds, except in the rows or columns where the boolean
+        rejected (B x Q x 1 or B x 1 x N) is set: those were put back to
+        the incoming iterate, whose cached cells stay."""
         if rejected.any():
-            # the cached cells staged in slack zeroed off the mask, so that
-            # buf stays zero there
-            self.slack.fill(0.0)
-            cached = self.obs.scatter(self.slack, self.loglik)
-            np.copyto(self.buf, cached, where=rejected)
-            self.obs.gather(self.buf, out=self.cells)
+            where = self.obs.gather(np.broadcast_to(rejected, self.buf.shape))
+            np.copyto(self.cells, self.loglik, where=where)
         self.cells, self.loglik = self.loglik, self.cells
 
     def keep(self, members):
@@ -219,7 +253,6 @@ class _Workspace:
         self.loglik[:n] = self.loglik[members]
         self.loglik = self.loglik[:n]
         self.cells = self.cells[:n]
-        self.slack = self.slack[:n]
         self.buf = self.buf[:n]
 
 
@@ -234,38 +267,57 @@ def _col_blocks(A, cols):
     return A.reshape(A.shape[0], -1, cols).transpose(1, 0, 2)
 
 
-def _slack(W_aug, C_aug, work):
-    """work.slack filled with each member's W_aug @ C_aug."""
-    Q, N = work.obs.shape
-    return np.matmul(_row_blocks(W_aug, Q), _col_blocks(C_aug, N), out=work.slack)
-
-
-def _col_slack(C, W_aug, work):
-    """work.slack filled with W C + mu: the slack as the column phase
-    forms it."""
-    Q, N = work.obs.shape
-    Z = np.matmul(_row_blocks(W_aug[:, :-1], Q), _col_blocks(C, N), out=work.slack)
-    Z += _row_blocks(W_aug[:, -1:], Q)
-    return Z
-
-
-def _signed_cells(Z, work):
-    """work.cells filled with s * z at the observed cells of Z."""
-    cells = work.obs.gather(Z, out=work.cells)
-    cells *= work.obs.sign
+def _fill_cells(work, product):
+    """work.cells filled with the observed cells of a stack's slack, block
+    by block of work.plan: product(lo, hi, out) writes rows lo:hi of every
+    member's slack into out, a B x (hi - lo) x N array."""
+    cells = work.cells
+    B, (Q, N) = len(cells), work.obs.shape
+    if work.plan is None:
+        product(0, Q, cells.reshape(B, Q, N))
+        return cells
+    for lo, hi, dest, index in work.plan:
+        Z = work.scratch[:B * (hi - lo) * N].reshape(B, hi - lo, N)
+        product(lo, hi, Z)
+        # clip mode: the default mode buffers the result in a temporary
+        np.take(Z.reshape(B, -1), index, axis=-1, out=cells[:, dest], mode="clip")
     return cells
 
 
-def _log_lik_cells(Z, work, link):
-    """work.buf with the log-likelihood of each observed cell under slack Z."""
-    cells = log_inv_link(_signed_cells(Z, work), link, out=work.cells)
-    return work.obs.scatter(work.buf, cells)
+def _slack(W_aug, C_aug, work):
+    """work.cells filled with the observed cells of each member's
+    W_aug @ C_aug."""
+    Q, N = work.obs.shape
+    W, C = _row_blocks(W_aug, Q), _col_blocks(C_aug, N)
+    return _fill_cells(work, lambda lo, hi, out: np.matmul(W[:, lo:hi], C, out=out))
 
 
-def _residual_cells(Z, work, link):
-    """work.buf with s * hazard(s * z) at each observed cell: minus the
-    derivative of the log-likelihood in the slack."""
-    cells = hazard(_signed_cells(Z, work), link, out=work.cells)
+def _col_slack(C, W_aug, work):
+    """work.cells filled with the observed cells of W C + mu: the slack as
+    the column phase forms it."""
+    Q, N = work.obs.shape
+    W, mu = _row_blocks(W_aug[:, :-1], Q), _row_blocks(W_aug[:, -1:], Q)
+    C = _col_blocks(C, N)
+
+    def product(lo, hi, out):
+        np.matmul(W[:, lo:hi], C, out=out)
+        out += mu[:, lo:hi]
+    return _fill_cells(work, product)
+
+
+def _log_lik_cells(z, work, link):
+    """work.buf with the log-likelihood of each observed cell, z being
+    work.cells holding the slack there."""
+    z *= work.obs.sign
+    return work.obs.scatter(work.buf, log_inv_link(z, link, out=z))
+
+
+def _residual_cells(z, work, link):
+    """work.buf with s * hazard(s * z) at each observed cell, z being
+    work.cells holding the slack there: minus the derivative of the
+    log-likelihood in the slack."""
+    z *= work.obs.sign
+    cells = hazard(z, link, out=z)
     cells *= work.obs.sign
     return work.obs.scatter(work.buf, cells)
 

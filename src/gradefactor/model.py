@@ -110,20 +110,11 @@ class ObservedEntries:
     sign: np.ndarray
     shape: tuple[int, int]
 
-    def gather(self, Z, out=None):
-        """Values of the C-contiguous Q x N array Z at the observed cells,
-        written into out when it is given.  A C-contiguous B x Q x N stack
-        gives B x n_observed values, one row per matrix."""
+    def gather(self, Z):
+        """Values of the Q x N array Z at the observed cells.  A B x Q x N
+        stack gives B x n_observed values, one row per matrix."""
         flat = _flat_cells(Z)
-        if out is None:
-            return flat[self.index] if flat.ndim == 1 else flat[:, self.index]
-        dest = out.reshape(flat.shape[:-1] + (-1,))  # a view of out
-        if isinstance(self.index, slice):
-            np.copyto(dest, flat[..., self.index])
-        else:
-            # clip mode: the default mode buffers the result in a temporary
-            np.take(flat, self.index, axis=-1, out=dest, mode="clip")
-        return out
+        return flat[self.index] if flat.ndim == 1 else flat[:, self.index]
 
     def scatter(self, out, values):
         """Write values into the observed cells of the C-contiguous Q x N

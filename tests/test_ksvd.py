@@ -53,7 +53,7 @@ class CountingNnls:
         def counting(*args, **kwargs):
             self.calls += 1
             return real(*args, **kwargs)
-        monkeypatch.setattr(ksvd.optimize, "nnls", counting)
+        monkeypatch.setattr(optimize, "nnls", counting)
 
 
 class TestNnOmp:

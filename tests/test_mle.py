@@ -6,13 +6,14 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from gradefactor import mle
-from gradefactor.links import LinkKind
+from gradefactor.links import LinkKind, log_inv_link
 from gradefactor.mle import (
     MLConfig,
     bic_select_lambda,
@@ -459,6 +460,139 @@ class TestBatchedPhases:
         assert len(shapes["log_inv_link"]) == 1 + 4 * 2
         assert set(shapes["hazard"]) == {(2, data.n_observed)}
         assert set(shapes["log_inv_link"]) == {(2, data.n_observed)}
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# (members, p_obs, block cells) of the block shapes the slack takes, on a
+# 23 x 10 matrix whose rows 9-11 are unobserved: one member in blocks of 3
+# rows (a short last block, and rows 9-11 a block with no observed cell);
+# every cell observed, where the cells are the slack itself; a stack of 3
+# members in one batched block, as every multi-member stack runs; and the
+# same stack in blocks of 2 rows of every member, the leftover last row
+# joining the block before it
+BLOCK_CASES = {
+    "row-blocks": (1, 0.7, 30),
+    "fully-observed": (1, 1.0, 30),
+    "members": (3, 0.7, mle._BLOCK_CELLS),
+    "members-in-row-blocks": (3, 0.7, 60),
+}
+
+
+def block_case(name, monkeypatch, seed=0):
+    """(data, W_aug, C) of a stack for BLOCK_CASES[name], with the block
+    constant patched."""
+    B, p_obs, block = BLOCK_CASES[name]
+    monkeypatch.setattr(mle, "_BLOCK_CELLS", block)
+    Q, N, K = 23, 10, 2
+    _, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=K, p_obs=p_obs, seed=seed))
+    if p_obs < 1:
+        mask = data.mask.copy()
+        mask[9:12] = False
+        data = ResponseMatrix(data.entries, mask)
+    rng = np.random.default_rng(seed)
+    W_aug = np.hstack([np.abs(rng.standard_normal((B * Q, K))),
+                       rng.standard_normal((B * Q, 1))])
+    return data, W_aug, rng.standard_normal((K, B * N))
+
+
+def dense_row_slack(W_aug, C_aug, Q, N):
+    """B x Q x N: each member's W_aug @ C_aug as one dense product."""
+    return np.matmul(mle._row_blocks(W_aug, Q), mle._col_blocks(C_aug, N))
+
+
+def dense_col_slack(C, W_aug, Q, N):
+    """B x Q x N: each member's W C + mu as one dense product."""
+    return (np.matmul(mle._row_blocks(W_aug[:, :-1], Q), mle._col_blocks(C, N))
+            + mle._row_blocks(W_aug[:, -1:], Q))
+
+
+def observed_cells(data, Z):
+    """B x n_observed: the observed cells of each matrix of a stack."""
+    return data.observed.gather(Z).reshape(len(Z), -1)
+
+
+def with_ones(C):
+    return np.vstack([C, np.ones((1, C.shape[1]))])
+
+
+class TestBlockedSlack:
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_slack_equals_dense_product(self, case, monkeypatch):
+        data, W_aug, C = block_case(case, monkeypatch)
+        Q, N = data.mask.shape
+        work = mle._Workspace(data.observed, W_aug, with_ones(C), LinkKind.PROBIT)
+        assert_bitwise(mle._slack(W_aug, with_ones(C), work),
+                       observed_cells(data, dense_row_slack(W_aug, with_ones(C), Q, N)))
+        assert_bitwise(mle._col_slack(C, W_aug, work),
+                       observed_cells(data, dense_col_slack(C, W_aug, Q, N)))
+
+    def test_block_plans(self, monkeypatch):
+        rows = {}
+        for case in BLOCK_CASES:
+            data, W_aug, C = block_case(case, monkeypatch)
+            work = mle._Workspace(data.observed, W_aug, with_ones(C), LinkKind.PROBIT)
+            rows[case] = work.plan and [(lo, hi) for lo, hi, _, _ in work.plan]
+        assert rows["row-blocks"] == [(0, 3), (3, 6), (6, 9), (12, 15), (15, 18),
+                                      (18, 21), (21, 23)]
+        assert rows["fully-observed"] is None
+        assert rows["members"] == [(0, 23)]
+        # the last row joins the block before it
+        assert rows["members-in-row-blocks"] == (
+            [(lo, lo + 2) for lo in range(0, 20, 2) if lo != 10] + [(20, 23)])
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_cache_holds_through_rejections(self, case, monkeypatch):
+        # steps of ten times 1/L overshoot, so that the accept-if-improved
+        # guard puts some rows and columns back: at 1/L it rejected no
+        # column on shapes like these over many seeds
+        lipschitz = mle._lipschitz
+        monkeypatch.setattr(mle, "_lipschitz", lambda *args: lipschitz(*args) / 10)
+        data, W_aug, C = block_case(case, monkeypatch)
+        Q, N = data.mask.shape
+        link, sign = LinkKind.PROBIT, 2.0 * data.entries - 1.0
+        work = mle._Workspace(data.observed, W_aug, with_ones(C), link)
+        # every cell's log-likelihood at the iterate, recomputed densely:
+        # a phase's end point in the form of the slack that phase uses, and
+        # a rejected row or column keeping its values, computed earlier at
+        # the same factors
+        ref = log_inv_link(sign * dense_row_slack(W_aug, with_ones(C), Q, N), link)
+        assert_bitwise(work.loglik, observed_cells(data, ref))
+        rejected_rows = rejected_cols = 0
+        for _ in range(3):
+            C_new = _phase_c(C, W_aug, work, 0.1, link, 3)
+            kept = (C_new == C).all(axis=0).reshape(-1, 1, N)
+            fresh = log_inv_link(sign * dense_col_slack(C_new, W_aug, Q, N), link)
+            ref = np.where(kept, ref, fresh)
+            assert_bitwise(work.loglik, observed_cells(data, ref))
+            C, rejected_cols = C_new, rejected_cols + kept.sum()
+
+            W_new = _phase_w(W_aug, with_ones(C), work, 0.1, 1e-4, link, 3)
+            kept = (W_new == W_aug).all(axis=1).reshape(-1, Q, 1)
+            fresh = log_inv_link(sign * dense_row_slack(W_new, with_ones(C), Q, N), link)
+            ref = np.where(kept, ref, fresh)
+            assert_bitwise(work.loglik, observed_cells(data, ref))
+            W_aug, rejected_rows = W_new, rejected_rows + kept.sum()
+        assert 0 < rejected_rows < 3 * len(W_aug)
+        assert 0 < rejected_cols < 3 * C.shape[1]
+
+    def test_fit_holds_one_dense_array(self):
+        # numpy reports its array allocations to tracemalloc.  The dense
+        # slack was a second Q x N float64 array next to buf; without it a
+        # fit's peak stays below two
+        Q, N = 400, 1000
+        _, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=5, p_obs=0.1, seed=9))
+        data.observed
+        tracemalloc.start()
+        try:
+            fit_ml(data, 5, MLConfig(lambda_l1=1.0, max_outer=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * Q * N * 8
 
 
 class TestFit:

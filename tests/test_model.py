@@ -294,17 +294,37 @@ def test_checks_hold_under_optimize_flag():
             else:
                 print("accepted")
     """)
-    # the child does not inherit pytest's pythonpath setting: point it at
-    # the src directory of the package this test imported
-    src = str(Path(gradefactor.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == [
+    assert run_child(script, "-O") == [
         "rejected: restarts must be an integer >= 1",
         "rejected: gamma_c must be a finite positive number",
         "rejected: K must be an integer >= 1",
         "rejected: v_mu must be a finite positive number",
     ]
+
+
+def test_fits_never_load_scipy_optimize():
+    # only the evaluation's assignment solver and ksvd's NNLS fallback use
+    # it, and importing it costs a fresh process about 17 MB
+    script = textwrap.dedent("""
+        import sys
+        import gradefactor as gf, gradefactor.cli
+        _, data = gf.generate_synthetic(gf.SynthConfig(Q=12, N=15, K=2, p_obs=0.8))
+        gf.fit_ml(data, 2, gf.MLConfig(lambda_l1=0.5, max_outer=3))
+        gf.run_gibbs(data, 2, burn_in=3, n_samples=3, rng=0)
+        print("scipy.optimize" in sys.modules)
+    """)
+    assert run_child(script) == ["False"]
+
+
+def run_child(script, *options):
+    """Lines a fresh interpreter prints running script with the package
+    this test imported."""
+    # the child does not inherit pytest's pythonpath setting: point it at
+    # the src directory of the package this test imported
+    src = str(Path(gradefactor.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, *options, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
