@@ -89,16 +89,24 @@ def read_response_csv(path):
 
     A file that `_decode_plain` does not take goes through `_decode_csv`.
     """
+    learner_ids, question_ids, codes = _decode(path)
+    _reject_duplicate(path, "question", question_ids)
+    # the mask first, then the codes turned into the correct flags in
+    # place: the matrix copies both, with no third Q x N array beside them
+    mask = codes != _CELL_CODE[""]
+    correct = np.equal(codes, _CELL_CODE["1"], out=codes.view(bool))
+    return ResponseMatrix(correct, mask), question_ids, learner_ids
+
+
+def _decode(path):
+    """(learner_ids, question_ids, codes) of the response file at path,
+    its text freed on return."""
     text = read_text(path)
     plain = _decode_plain(text)
     if plain is None:
-        learner_ids, question_ids, codes = _decode_csv(path, text)
-    else:
-        learner_ids, question_ids, codes = plain
-        _reject_duplicate(path, "learner", learner_ids)
-    _reject_duplicate(path, "question", question_ids)
-    data = ResponseMatrix(codes == _CELL_CODE["1"], codes != _CELL_CODE[""])
-    return data, question_ids, learner_ids
+        return _decode_csv(path, text)
+    _reject_duplicate(path, "learner", plain[0])
+    return plain
 
 
 def _decode_csv(path, text):
@@ -173,7 +181,7 @@ def _decode_plain(text):
             return None
         row_starts = np.concatenate(([0], newlines[:-1] + 1))
         is_comma = block == _COMMA
-        if (np.add.reduceat(is_comma, row_starts, dtype=np.int32) != N).any():
+        if (_commas_per_row(is_comma, row_starts) != N).any():
             return None
         ids = [raw[s:raw.index(b",", s)] for s in (start + row_starts).tolist()]
         if max(map(len, ids)) > limit:
@@ -192,6 +200,19 @@ def _decode_plain(text):
         question_ids += [ident.decode("utf-8") for ident in ids]
         start = end
     return [ident.decode("utf-8") for ident in header[1:]], question_ids, codes
+
+
+def _commas_per_row(is_comma, row_starts):
+    """The number of commas in each row of a block whose rows start at
+    row_starts.  The commas are counted in uint8 over pieces of at most 255
+    bytes, which cannot overflow, with a piece starting at every row start,
+    and the pieces' counts are then summed per row: a count in int32 would
+    cast the whole block to 4 bytes a byte first."""
+    pieces = np.sort(np.concatenate((row_starts, np.arange(0, is_comma.size, 255))))
+    # reduceat sums a piece only up to a strictly greater next start
+    pieces = pieces[np.append(pieces[1:] != pieces[:-1], True)]
+    counts = np.add.reduceat(is_comma.view(np.uint8), pieces, dtype=np.uint8)
+    return np.add.reduceat(counts, np.searchsorted(pieces, row_starts), dtype=np.int64)
 
 
 def _padded_row_codes(path, lineno, row):

@@ -61,19 +61,28 @@ _BATCH_CELLS = 32_768
 # stack against one per thread (15 outer iterations): 2 at 80 x 100 and
 # at 100 x 160 in 7 of 7 rounds each, 3 at 100 x 100 in 5 of 7.
 _SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 8_000, LinkKind.LOGIT: 16_384}
-# the slack is formed block by block of at most this many cells (512 KiB),
-# each block's observed cells gathered while it is still in cache, instead
-# of as one dense product written out to memory and read back at the
-# observed cells.  One slack evaluation (mean of the row and column
-# phases' forms) at 1000 x 2000, K = 5, p_obs 0.1, BLAS on one thread,
-# medians of 15 alternating rounds in each of 4 runs: the dense product
-# and gather took 3.1-3.2 ms; blocks of 2^13 ... 2^18 cells 2.8-3.7,
-# 2.1-2.4, 1.6-2.0, 1.4-1.9, 1.4-1.8 and 2.2-2.5 ms (a 2 MiB L2 cache per
-# core).  At 400 x 1000 the dense form took 0.59 ms and 2^15 ... 2^18
-# cells 0.35, 0.32, 0.29 and 0.44 ms; at 1000 x 2000, p_obs 0.3, 3.9 ms
-# and 2.2, 2.0, 1.9 and 3.0 ms.  2^16 and 2^17 tie; the smaller keeps the
-# workspace smaller, and every multi-member stack (_BATCH_CELLS) stays one
-# block.
+# both halves of an ML phase run block by block of rows, each block at
+# most this many cells (512 KiB) of every member, instead of as dense
+# B x Q x N arrays written out to memory and read back at the observed
+# cells.  The slack half forms each block's product and gathers its
+# observed cells while it is still in cache.  The residual half scatters
+# a block's per-cell values into a block of zeros and multiplies or sums
+# that.  One slack evaluation (mean of the row and column phases' forms)
+# at 1000 x 2000, K = 5, p_obs 0.1, BLAS on one thread, medians of 15
+# alternating rounds in each of 4 runs: the dense product and gather took
+# 3.1-3.2 ms; blocks of 2^13 ... 2^18 cells 2.8-3.7, 2.1-2.4, 1.6-2.0,
+# 1.4-1.9, 1.4-1.8 and 2.2-2.5 ms (a 2 MiB L2 cache per core).  At
+# 400 x 1000 the dense form took 0.59 ms and 2^15 ... 2^18 cells 0.35,
+# 0.32, 0.29 and 0.44 ms; at 1000 x 2000, p_obs 0.3, 3.9 ms and 2.2, 2.0,
+# 1.9 and 3.0 ms.  The residual half's row and column gradient products
+# (scatter included, medians of 7 rounds, same box) at 1000 x 2000, p_obs
+# 0.1: dense 2.7 and 2.2 ms; 2^14 ... 2^18 cells 2.0 / 2.1, 1.5 / 1.4-1.5,
+# 1.4 / 1.2-1.3, 1.5-1.6 / 1.4 and 2.9-3.1 / 2.4-3.0 ms.  At 400 x 1000:
+# dense 0.50 / 0.43 ms, blocks 0.39 / 0.38, 0.34 / 0.32, 0.28 / 0.24,
+# 0.33 / 0.30 and 0.48 / 0.44 ms; at 1000 x 2000, p_obs 0.3, dense 3.3 /
+# 2.8 ms, blocks 3.3 / 3.5, 2.7 / 2.7, 2.7 / 2.6, 2.7 / 2.4 and 4.4 / 3.8.
+# 2^16 and 2^17 tie; the smaller keeps the workspace smaller, and every
+# multi-member stack (_BATCH_CELLS) stays one block.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -171,33 +180,50 @@ class _Workspace:
     A stack of B members holds their W_aug stacked as (B*Q) x (K+1) and
     their C_aug as (K+1) x (B*N), member m in rows m*Q... and columns
     m*N...; each B x ... array below has one matrix or row per member.
+    Beyond its observed cells and their indices, a stack holds two blocks
+    of cells, scratch and resid: a fit forms no dense B x Q x N array
+    unless every cell is observed.
 
     obs : the observed cells of the response matrix.
-    buf : B x Q x N, zero at every unobserved cell.  The kernels scatter
-        their per-cell values into it, so masked gradients and per-row or
-        per-column sums are plain dense operations on it.
     cells : B x n_observed, the observed cells of the slack of the
         iterate being evaluated, filled block by block (no Q x N slack is
         formed), which the link kernels sign and then overwrite with their
         values in place.
     loglik : B x n_observed, the log-likelihood of each observed cell at
         the current iterate.  Each phase reads its incoming objective from
-        it and evaluates the link once, at its end point.  Observed cells,
-        not a third Q x N array per member, so that the workspace is no
-        larger than the temporaries it replaced.
+        it and evaluates the link once, at its end point.
     scratch : room for one block of the slack: the same rows of every
         member, as many as fit in _BLOCK_CELLS cells but at least two, and
-        one more in a last block that a single leftover row joins.  None
-        when every cell is observed: the cells are then the dense slack
-        itself, and each product is written straight into them.
+        one more in a last block that a single leftover row joins.
+    resid : room for one block of a per-cell value laid out as the dense
+        B x rows x N block it belongs to: a gradient's residual, the
+        log-likelihoods of the row sums, or the 0/1 mask of a step size.
+        It is zero at every cell but the observed cells of the block in
+        use.  A stack of one block only ever writes its observed cells, so
+        it is never zeroed again; a plan of several blocks zeroes each
+        block's observed cells once it is done with them.  Kept apart from
+        scratch, which holds whole slack blocks.
     plan : one (lo, hi, cells, index) per block of rows lo:hi that holds
-        an observed cell, in order; blocks with none are skipped.  The
-        block's slack goes into scratch, and its observed cells, at the
-        positions `index` within the block (obs.index shifted to row lo),
-        are gathered into cells[:, cells] while the block is still in
-        cache.  Found once, with searchsorted on obs.index.  A stack of at
-        most _BLOCK_CELLS cells, every multi-member stack among them, is
-        one block: one batched product, as a dense slack was.
+        an observed cell, in order; blocks with none are skipped.  index
+        is B x n_block: the flat positions of the block's observed cells
+        within the B x (hi - lo) x N block, member m's in its row m, so a
+        stack of fewer members reads its first rows.  A block's slack goes
+        into scratch and its observed cells are gathered into
+        cells[:, cells] while the block is still in cache; the same
+        positions scatter a per-cell value into resid.  Found once, with
+        searchsorted on obs.index.  A stack of at most _BLOCK_CELLS cells,
+        every multi-member stack among them, is one block: one batched
+        product, as a dense slack was.
+    row_counts : observed cells per row, which expand rejected rows to
+        their cells.
+    cols : B * n_observed stacked column ids (member m's columns m*N...)
+        of the cells, which expand rejected columns to their cells and
+        give the column sums through bincount.
+
+    When every cell is observed, plan, scratch, resid, row_counts and
+    cols are None: the cells are then the dense stack itself, each product
+    is written straight into them and each dense step reads them in place,
+    and ones, a Q x N array of ones, is the float mask.
 
     The cache starts at the slack W_aug @ C_aug of the first iterate,
     C_aug being C with a trailing all-ones row.  One workspace per stack,
@@ -208,27 +234,72 @@ class _Workspace:
         Q, N = obs.shape
         B = W_aug.shape[0] // Q
         self.obs = obs
-        self.buf = np.zeros((B, Q, N))
         self.cells = np.empty((B,) + obs.sign.shape)
         self.loglik = np.empty((B,) + obs.sign.shape)
-        self.scratch = self.plan = None
-        if not isinstance(obs.index, slice):
+        self.scratch = self.resid = self.plan = self.row_counts = None
+        self.cols = self.ones = None
+        if isinstance(obs.index, slice):
+            self.ones = np.ones((Q, N))
+        else:
             # a block of one row would be a matrix-vector product, whose
             # sums round differently from a matrix product's: a last row
             # left over joins the block before it
             rows = min(Q, max(2, _BLOCK_CELLS // (B * N)))
             bounds = np.append(np.arange(0, max(Q - 1, 1), rows), Q)
-            ends = np.searchsorted(obs.index, bounds * N)
-            self.scratch = np.empty(B * int(np.diff(bounds).max()) * N)
-            self.plan = [(lo, hi, slice(a, b), obs.index[a:b] - lo * N)
+            starts = np.searchsorted(obs.index, np.arange(Q + 1) * N)
+            self.row_counts = np.diff(starts)
+            size = B * int(np.diff(bounds).max()) * N
+            self.scratch, self.resid = np.empty(size), np.zeros(size)
+            members = np.arange(B)[:, None]
+            self.plan = [(lo, hi, slice(a, b),
+                          members * ((hi - lo) * N) + (obs.index[a:b] - lo * N))
                          for lo, hi, a, b in zip(bounds[:-1], bounds[1:],
-                                                 ends[:-1], ends[1:]) if b > a]
+                                                 starts[bounds[:-1]],
+                                                 starts[bounds[1:]]) if b > a]
+            self.cols = np.remainder(obs.index, N)
+            if B > 1:
+                self.cols = (self.cols + members * N).reshape(-1)
         _log_lik_cells(_slack(W_aug, C_aug, self), self, link)
         self.cells, self.loglik = self.loglik, self.cells
 
-    def cached(self):
-        """buf with the cached log-likelihood of each observed cell."""
-        return self.obs.scatter(self.buf, self.loglik)
+    def blocks(self, values):
+        """(lo, hi, R) for each block of rows lo:hi of the plan in turn, R
+        the B x (hi - lo) x N block holding values (B x n_observed, or 1.0
+        for the float mask) at its observed cells and zero at the others.
+        R is only good until the next block is made."""
+        B, (Q, N) = len(self.cells), self.obs.shape
+        if self.plan is None:
+            yield 0, Q, values.reshape(B, Q, N) if np.ndim(values) else self.ones[None]
+            return
+        for lo, hi, dest, index in self.plan:
+            R, index = self.resid[:B * (hi - lo) * N], index[:B]
+            R[index] = values[:, dest] if np.ndim(values) else values
+            yield lo, hi, R.reshape(B, hi - lo, N)
+            if len(self.plan) > 1:
+                R[index] = 0.0
+
+    def row_grams(self, A):
+        """masked_gram(A, mask) for the float mask of the response matrix,
+        formed block by block of rows: A is d x (B*N), and the result has
+        one d x d Gram per row of every member, B*Q in all."""
+        B, Q, d = len(self.cells), self.obs.shape[0], len(A)
+        grams = np.zeros((B, Q, d, d))
+        for lo, hi, R in self.blocks(1.0):
+            grams[:, lo:hi] = masked_gram(A, R[0]).reshape(B, hi - lo, d, d)
+        return grams.reshape(-1, d, d)
+
+    def col_grams(self, A):
+        """masked_gram(A, mask.T) for the float mask of the response
+        matrix, summed over the blocks of rows: A is d x (B*Q), and the
+        result has one d x d Gram per column of every member, B*N in all.
+        A matrix product never returns -0.0, so a sum of one block is
+        bitwise the block's."""
+        B, (Q, N), d = len(self.cells), self.obs.shape, len(A)
+        A = A.reshape(d, B, Q)
+        grams = np.zeros((B * N, d, d))
+        for lo, hi, R in self.blocks(1.0):
+            grams += masked_gram(A[:, :, lo:hi].reshape(d, -1), R[0].T)
+        return grams
 
     def objective(self, m, W_aug, C, lam, config):
         """objective_value at member m's (W_aug, C) and l1 weight lam, whose
@@ -236,14 +307,21 @@ class _Workspace:
         order."""
         return -float(self.loglik[m].sum()) + _penalty(W_aug, C, lam, config)
 
-    def accept(self, rejected):
+    def accept(self, rejected, axis):
         """Cache the cell log-likelihoods of a phase's end point, which
-        cells holds, except in the rows or columns where the boolean
-        rejected (B x Q x 1 or B x 1 x N) is set: those were put back to
-        the incoming iterate, whose cached cells stay."""
+        cells holds, except in the rows (axis 0, rejected B x Q) or the
+        columns (axis 1, rejected B x N) where the boolean rejected is set:
+        those were put back to the incoming iterate, whose cached cells
+        stay."""
         if rejected.any():
-            where = self.obs.gather(np.broadcast_to(rejected, self.buf.shape))
-            np.copyto(self.cells, self.loglik, where=where)
+            B, (Q, N) = len(rejected), self.obs.shape
+            if self.plan is None:  # rows as B x Q x 1, columns as B x 1 x N
+                where = np.broadcast_to(np.expand_dims(rejected, 2 - axis), (B, Q, N))
+            elif axis == 0:
+                where = np.repeat(rejected, self.row_counts, axis=1)
+            else:
+                where = rejected.reshape(-1)[self.cols[:self.cells.size]]
+            np.copyto(self.cells, self.loglik, where=where.reshape(self.cells.shape))
         self.cells, self.loglik = self.loglik, self.cells
 
     def keep(self, members):
@@ -253,7 +331,6 @@ class _Workspace:
         self.loglik[:n] = self.loglik[members]
         self.loglik = self.loglik[:n]
         self.cells = self.cells[:n]
-        self.buf = self.buf[:n]
 
 
 def _row_blocks(A, rows):
@@ -277,10 +354,9 @@ def _fill_cells(work, product):
         product(0, Q, cells.reshape(B, Q, N))
         return cells
     for lo, hi, dest, index in work.plan:
-        Z = work.scratch[:B * (hi - lo) * N].reshape(B, hi - lo, N)
-        product(lo, hi, Z)
+        product(lo, hi, work.scratch[:B * (hi - lo) * N].reshape(B, hi - lo, N))
         # clip mode: the default mode buffers the result in a temporary
-        np.take(Z.reshape(B, -1), index, axis=-1, out=cells[:, dest], mode="clip")
+        np.take(work.scratch, index[:B], out=cells[:, dest], mode="clip")
     return cells
 
 
@@ -306,37 +382,46 @@ def _col_slack(C, W_aug, work):
 
 
 def _log_lik_cells(z, work, link):
-    """work.buf with the log-likelihood of each observed cell, z being
-    work.cells holding the slack there."""
+    """z, work.cells holding the slack at the observed cells, overwritten
+    with the log-likelihood of each."""
     z *= work.obs.sign
-    return work.obs.scatter(work.buf, log_inv_link(z, link, out=z))
+    return log_inv_link(z, link, out=z)
 
 
 def _residual_cells(z, work, link):
-    """work.buf with s * hazard(s * z) at each observed cell, z being
-    work.cells holding the slack there: minus the derivative of the
+    """z, work.cells holding the slack at the observed cells, overwritten
+    with s * hazard(s * z) at each: minus the derivative of the
     log-likelihood in the slack."""
     z *= work.obs.sign
     cells = hazard(z, link, out=z)
     cells *= work.obs.sign
-    return work.obs.scatter(work.buf, cells)
+    return cells
 
 
-def _row_objectives(W_aug, cell_ll, lam, mu_w):
-    """Objective of every question row, from the B x Q x N log-likelihoods
-    of its cells (zero at unobserved cells); lam is a scalar or one weight
-    per row."""
-    nll = -cell_ll.sum(axis=-1).reshape(-1)
+def _row_objectives(W_aug, cell_ll, work, lam, mu_w):
+    """Objective of every question row, from the B x n_observed
+    log-likelihoods of the observed cells; lam is a scalar or one weight
+    per row.  Each row's cells are summed as a dense row with zeros at the
+    unobserved cells, bitwise."""
+    nll = np.zeros((len(cell_ll), work.obs.shape[0]))
+    for lo, hi, R in work.blocks(cell_ll):
+        nll[:, lo:hi] = R.sum(axis=-1)
     l1 = np.abs(W_aug[:, :-1]).sum(axis=1)
     l2 = (W_aug * W_aug).sum(axis=1)
-    return nll + lam * l1 + 0.5 * mu_w * l2
+    return -nll.reshape(-1) + lam * l1 + 0.5 * mu_w * l2
 
 
-def _col_objectives(C, cell_ll, gamma):
-    """Objective of every learner column, from the B x Q x N
-    log-likelihoods of its cells (zero at unobserved cells)."""
-    nll = -cell_ll.sum(axis=-2).reshape(-1)
-    return nll + 0.5 * gamma * (C * C).sum(axis=0)
+def _col_objectives(C, cell_ll, work, gamma):
+    """Objective of every learner column, from the B x n_observed
+    log-likelihoods of the observed cells.  bincount adds each column's
+    cells in row order, as a dense sum over the rows does, bitwise."""
+    B, (Q, N) = len(cell_ll), work.obs.shape
+    if work.plan is None:
+        nll = cell_ll.reshape(B, Q, N).sum(axis=-2).reshape(-1)
+    else:
+        nll = np.bincount(work.cols[:cell_ll.size], weights=cell_ll.reshape(-1),
+                          minlength=B * N)
+    return -nll + 0.5 * gamma * (C * C).sum(axis=0)
 
 
 def _lipschitz(A, maskf, ridge, link):
@@ -345,16 +430,24 @@ def _lipschitz(A, maskf, ridge, link):
     masked Gram sum_j maskf[i, j] a_j a_j^T over the columns of A, plus
     ridge, floored at _L_FLOOR.  Question rows pass C_aug and the mask,
     learner columns W (without the difficulty column) transposed and the
-    mask transposed."""
-    sig2 = np.clip(np.linalg.eigvalsh(masked_gram(A, maskf))[:, -1], 0.0, None)
+    mask transposed.  maskf may instead be a function of A that gives the
+    Grams, as a workspace's row_grams and col_grams do block by block."""
+    gram = maskf(A) if callable(maskf) else masked_gram(A, maskf)
+    sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     return np.maximum(scalar_lipschitz(link) * sig2 + ridge, _L_FLOOR)
 
 
 def _row_gradient(W_aug, C_aug, work, mu_w, link):
-    """Gradient of the smooth part (log-likelihood + ridge) in every row."""
+    """Gradient of the smooth part (log-likelihood + ridge) in every row;
+    zero likelihood part in a row with no observed cell."""
+    Q, N = work.obs.shape
     resid = _residual_cells(_slack(W_aug, C_aug, work), work, link)
-    # -(R @ C^T) is (-R) @ C^T bitwise, without a Q x N negated copy
-    grad = -(resid @ _col_blocks(C_aug, work.obs.shape[1]).transpose(0, 2, 1))
+    C_t = _col_blocks(C_aug, N).transpose(0, 2, 1)
+    grad = np.zeros((len(resid), Q, len(C_aug)))
+    for lo, hi, R in work.blocks(resid):
+        np.matmul(R, C_t, out=grad[:, lo:hi])
+    # -(R @ C^T) is (-R) @ C^T bitwise, without a negated copy of R
+    np.negative(grad, out=grad)
     return grad.reshape(W_aug.shape) + mu_w * W_aug
 
 
@@ -363,9 +456,14 @@ def _col_gradient(C, W_aug, work, link):
     enters through the proximal step instead."""
     Q, N = work.obs.shape
     resid = _residual_cells(_col_slack(C, W_aug, work), work, link)
-    grad = np.empty(C.shape)
-    np.matmul((-_row_blocks(W_aug[:, :-1], Q)).transpose(0, 2, 1), resid,
-              out=_col_blocks(grad, N))
+    W_t = (-_row_blocks(W_aug[:, :-1], Q)).transpose(0, 2, 1)
+    grad = np.zeros(C.shape)
+    out = _col_blocks(grad, N)
+    for i, (lo, hi, R) in enumerate(work.blocks(resid)):
+        if i:
+            out += W_t[:, :, lo:hi] @ R
+        else:  # in place: a one-block stack adds nothing
+            np.matmul(W_t[:, :, lo:hi], R, out=out)
     return grad
 
 
@@ -394,12 +492,10 @@ def _phase_w(W_aug, C_aug, work, lam, mu_w, link, iters):
     log-likelihoods of the incoming rows on entry and of the returned rows
     on exit.
     """
-    # the first member's buf, free until cached(), as the float mask
-    maskf = work.obs.scatter(work.buf[0], 1.0)
-    t = 1.0 / _lipschitz(C_aug, maskf, mu_w, link)
+    t = 1.0 / _lipschitz(C_aug, work.row_grams, mu_w, link)
     lam_t = (lam * t)[:, None]
     t = t[:, None]
-    f_old = _row_objectives(W_aug, work.cached(), lam, mu_w)
+    f_old = _row_objectives(W_aug, work.loglik, work, lam, mu_w)
 
     def step(u):
         x = u - t * _row_gradient(u, C_aug, work, mu_w, link)
@@ -408,10 +504,10 @@ def _phase_w(W_aug, C_aug, work, lam, mu_w, link, iters):
 
     x = _accelerated(W_aug, step, iters)
     cell_ll = _log_lik_cells(_slack(x, C_aug, work), work, link)
-    worse = _row_objectives(x, cell_ll, lam, mu_w) > f_old
+    worse = _row_objectives(x, cell_ll, work, lam, mu_w) > f_old
     if worse.any():
         x[worse] = W_aug[worse]
-    work.accept(worse.reshape(-1, work.obs.shape[0], 1))
+    work.accept(worse.reshape(-1, work.obs.shape[0]), 0)
     return x
 
 
@@ -420,20 +516,19 @@ def _phase_c(C, W_aug, work, gamma, link, iters):
     enters through the rescaling prox, so no sign constraint applies.
     The step sizes, the accept-if-improved guard and the cache work as in
     _phase_w."""
-    maskf = work.obs.scatter(work.buf[0], 1.0)
-    t = 1.0 / _lipschitz(W_aug[:, :-1].T, maskf.T, 0.0, link)  # one per column
+    t = 1.0 / _lipschitz(W_aug[:, :-1].T, work.col_grams, 0.0, link)  # one per column
     shrink = 1.0 + gamma * t
-    f_old = _col_objectives(C, work.cached(), gamma)
+    f_old = _col_objectives(C, work.loglik, work, gamma)
 
     def step(u):
         return (u - t * _col_gradient(u, W_aug, work, link)) / shrink
 
     x = _accelerated(C, step, iters)
     cell_ll = _log_lik_cells(_col_slack(x, W_aug, work), work, link)
-    worse = _col_objectives(x, cell_ll, gamma) > f_old
+    worse = _col_objectives(x, cell_ll, work, gamma) > f_old
     if worse.any():
         x[:, worse] = C[:, worse]
-    work.accept(worse.reshape(-1, 1, work.obs.shape[1]))
+    work.accept(worse.reshape(-1, work.obs.shape[1]), 1)
     return x
 
 

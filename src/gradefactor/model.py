@@ -67,15 +67,6 @@ def check_observed(data):
         raise ValueError("cannot fit: no observed responses")
 
 
-def _flat_cells(Z):
-    """The cells of a Q x N array, or of each matrix of a B x Q x N stack,
-    as a flat view: one row per matrix, and 1-D for a single matrix,
-    whose fancy indexing is cheaper than a 2-D array's."""
-    if Z.ndim == 2 or len(Z) == 1:
-        return Z.reshape(-1)
-    return Z.reshape(len(Z), -1)
-
-
 def masked_gram(A, mask):
     """Masked Gram matrices sum_j mask[i, j] a_j a_j^T of the columns a_j
     of A, one per row i of the float m x n mask.
@@ -111,41 +102,15 @@ class ObservedEntries:
     shape: tuple[int, int]
 
     def gather(self, Z):
-        """Values of the Q x N array Z at the observed cells.  A B x Q x N
-        stack gives B x n_observed values, one row per matrix."""
-        flat = _flat_cells(Z)
-        return flat[self.index] if flat.ndim == 1 else flat[:, self.index]
+        """Values of the C-contiguous Q x N array Z at the observed cells."""
+        return Z.reshape(-1)[self.index]
 
     def scatter(self, out, values):
-        """Write values into the observed cells of the C-contiguous Q x N
-        array out, or of each matrix of a B x Q x N stack (values then
-        B x n_observed); the other cells keep what they hold."""
-        flat, index = _flat_cells(out), self.index
-        if flat.ndim == 2 and not isinstance(index, slice):
-            # one flat index into the whole stack: a 2-D fancy assignment
-            # runs several times slower
-            flat, index = out.reshape(-1), self._stack_index(len(flat))
-        if flat.ndim == 1:
-            # a 1 x n_observed value array would take a slower path
-            flat[index] = np.reshape(values, -1) if np.ndim(values) else values
-        else:
-            flat[:, index] = values
+        """Write values (n_observed of them, or a scalar) into the observed
+        cells of the C-contiguous Q x N array out; the other cells keep
+        what they hold."""
+        out.reshape(-1)[self.index] = values
         return out
-
-    @functools.cached_property
-    def _stack_indices(self) -> dict:
-        return {}
-
-    def _stack_index(self, B):
-        """Read-only flat indices of the observed cells of every matrix of
-        a B x Q x N stack, built once per B."""
-        index = self._stack_indices.get(B)
-        if index is None:
-            Q, N = self.shape
-            index = (np.arange(B)[:, None] * (Q * N) + self.index).reshape(-1)
-            index.setflags(write=False)
-            self._stack_indices[B] = index
-        return index
 
     @functools.cached_property
     def float_mask(self) -> np.ndarray:

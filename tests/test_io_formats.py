@@ -209,10 +209,9 @@ def random_plain_text(rng, Q, N, p_obs, eol, final_eol):
 
 def test_read_makes_no_float_copy(tmp_path):
     # numpy reports its array allocations to tracemalloc.  At this shape
-    # and density the read peaks in the plain decoder, at about 9 bytes a
-    # cell: the text twice, one int32 comma count per byte and the codes;
-    # a float64 copy of the matrix, 8 bytes a cell, next to the text, the
-    # codes and the matrix's own bool arrays would pass 12
+    # and density the read peaks at about 6.5 bytes a cell: the text twice,
+    # the codes and the matrix's own bool arrays; a float64 copy of the
+    # matrix, 8 bytes a cell, next to them would pass 12
     Q, N = 300, 500
     path = tmp_path / "r.csv"
     write_response_csv(path, random_matrix(np.random.default_rng(10), Q, N, 0.1))
@@ -224,6 +223,33 @@ def test_read_makes_no_float_copy(tmp_path):
         tracemalloc.stop()
     assert data.entries.dtype == bool
     assert peak < 12 * Q * N
+
+
+def test_dense_read_counts_commas_without_a_copy_of_the_block(tmp_path):
+    # numpy reports its array allocations to tracemalloc.  A fully observed
+    # 300 x 500 file is one block of 304 KB; counting each row's commas in
+    # int32 cast the block to 4 bytes a byte, 1.2 MB, and the read peaked
+    # at 2.30 MB.  Counted in uint8 pieces it peaks at 1.26 MB
+    path = tmp_path / "r.csv"
+    write_response_csv(path, random_matrix(np.random.default_rng(12), 300, 500, 1.0))
+    tracemalloc.start()
+    try:
+        read_response_csv(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.30e6 - 1e6
+
+
+def test_commas_per_row_counts_long_rows_exactly():
+    # rows of 255 commas and more fill and pass a uint8 piece count
+    rng = np.random.default_rng(13)
+    lengths = [1, 254, 255, 256, 3000, 1, 700]
+    rows = [b"".join(rng.choice([b",", b"0", b"1"], n)) + b"\n" for n in lengths]
+    block = np.frombuffer(b"".join(rows), dtype=np.uint8)
+    row_starts = np.cumsum([0] + [len(r) for r in rows[:-1]])
+    got = io_formats._commas_per_row(block == ord(","), row_starts)
+    assert got.tolist() == [r.count(b",") for r in rows]
 
 
 class TestPlainDecoder:

@@ -512,7 +512,7 @@ def dense_col_slack(C, W_aug, Q, N):
 
 def observed_cells(data, Z):
     """B x n_observed: the observed cells of each matrix of a stack."""
-    return data.observed.gather(Z).reshape(len(Z), -1)
+    return Z.reshape(len(Z), -1)[:, np.flatnonzero(data.mask)]
 
 
 def with_ones(C):
@@ -593,6 +593,123 @@ class TestBlockedSlack:
         finally:
             tracemalloc.stop()
         assert peak < 2 * Q * N * 8
+
+    def test_fit_holds_no_dense_array(self):
+        # with the residual half blocked too, a fit's working memory is its
+        # observed cells plus one block: it peaks at 2.91 MB here, below one
+        # Q x N float64 array (3.2 MB), where the B x Q x N buffer of
+        # scattered residuals took it to 5.2 MB
+        Q, N = 400, 1000
+        _, data = generate_synthetic(SynthConfig(Q=Q, N=N, K=5, p_obs=0.1, seed=9))
+        data.observed
+        tracemalloc.start()
+        try:
+            fit_ml(data, 5, MLConfig(lambda_l1=1.0, max_outer=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < Q * N * 8
+        rng = np.random.default_rng(9)
+        W_aug = np.abs(rng.standard_normal((Q, 6)))
+        work = mle._Workspace(data.observed, W_aug,
+                              with_ones(rng.standard_normal((5, N))), LinkKind.PROBIT)
+        arrays = [a for a in vars(work).values() if isinstance(a, np.ndarray)]
+        arrays += [index for _, _, _, index in work.plan]
+        assert len(work.plan) > 1 and max(a.size for a in arrays) < Q * N
+
+
+def scattered(data, cells):
+    """B x Q x N: the B x n_observed cells written into zeros, as the
+    dense residual buffer held them."""
+    out = np.zeros((len(cells),) + data.mask.shape)
+    out.reshape(len(cells), -1)[:, np.flatnonzero(data.mask)] = cells
+    return out
+
+
+class TestBlockedResidual:
+    # the residual half of the phases (gradients, objective sums and step
+    # sizes) block by block of the plan, against the dense forms on a
+    # B x Q x N buffer: bitwise where the stack is one block, and within
+    # roundoff where BLAS sums rows of several blocks
+    MU_W, LAM, GAMMA = 1e-3, 0.3, 0.2
+
+    @staticmethod
+    def workspace(case, monkeypatch):
+        data, W_aug, C = block_case(case, monkeypatch)
+        work = mle._Workspace(data.observed, W_aug, with_ones(C), LinkKind.PROBIT)
+        return data, W_aug, C, work
+
+    @staticmethod
+    def check(got, want, case):
+        if case in ("fully-observed", "members"):  # one block
+            assert_bitwise(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_gradients(self, case, monkeypatch):
+        data, W_aug, C, work = self.workspace(case, monkeypatch)
+        Q, N = data.mask.shape
+        link, C_aug = LinkKind.PROBIT, with_ones(C)
+        got_w = mle._row_gradient(W_aug, C_aug, work, self.MU_W, link)
+        R = scattered(data, mle._residual_cells(mle._slack(W_aug, C_aug, work),
+                                                work, link))
+        C_t = mle._col_blocks(C_aug, N).transpose(0, 2, 1)
+        want_w = -(R @ C_t).reshape(W_aug.shape) + self.MU_W * W_aug
+        self.check(got_w, want_w, case)
+
+        got_c = mle._col_gradient(C, W_aug, work, link)
+        R = scattered(data, mle._residual_cells(mle._col_slack(C, W_aug, work),
+                                                work, link))
+        want_c = np.empty(C.shape)
+        np.matmul((-mle._row_blocks(W_aug[:, :-1], Q)).transpose(0, 2, 1), R,
+                  out=mle._col_blocks(want_c, N))
+        self.check(got_c, want_c, case)
+
+    @pytest.mark.parametrize("case", ["row-blocks", "members", "members-in-row-blocks"])
+    def test_unobserved_rows_have_no_likelihood_gradient(self, case, monkeypatch):
+        data, W_aug, C, work = self.workspace(case, monkeypatch)
+        grad = mle._row_gradient(W_aug, with_ones(C), work, 0.0, LinkKind.PROBIT)
+        blank = mle._row_blocks(grad, data.Q)[:, 9:12]
+        assert np.count_nonzero(blank) == 0
+        assert np.count_nonzero(mle._row_blocks(grad, data.Q)[:, :9]) > 0
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_objective_sums_are_bitwise(self, case, monkeypatch):
+        data, W_aug, C, work = self.workspace(case, monkeypatch)
+        ll = scattered(data, work.loglik)
+        lam = self.LAM
+        want = (-ll.sum(axis=-1).reshape(-1) + lam * np.abs(W_aug[:, :-1]).sum(axis=1)
+                + 0.5 * self.MU_W * (W_aug * W_aug).sum(axis=1))
+        assert_bitwise(mle._row_objectives(W_aug, work.loglik, work, lam, self.MU_W),
+                       want)
+        want = -ll.sum(axis=-2).reshape(-1) + 0.5 * self.GAMMA * (C * C).sum(axis=0)
+        assert_bitwise(mle._col_objectives(C, work.loglik, work, self.GAMMA), want)
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_step_sizes(self, case, monkeypatch):
+        data, W_aug, C, work = self.workspace(case, monkeypatch)
+        maskf, link = data.mask.astype(float), LinkKind.PROBIT
+        A = with_ones(C)
+        self.check(mle._lipschitz(A, work.row_grams, self.MU_W, link),
+                   mle._lipschitz(A, maskf, self.MU_W, link), case)
+        A = W_aug[:, :-1].T
+        self.check(mle._lipschitz(A, work.col_grams, 0.0, link),
+                   mle._lipschitz(A, maskf.T, 0.0, link), case)
+
+    def test_stack_in_row_blocks_equals_members_alone(self, monkeypatch):
+        # a stack of 3 members in blocks of 2 rows of each, and each member
+        # alone in blocks of 2 rows: every block's products and sums meet
+        # the same numbers in the same order
+        data, _, _ = block_case("members-in-row-blocks", monkeypatch)
+        config = MLConfig(lambda_l1=0.3, max_outer=6, outer_tol=1e-3)
+        members = [(0.3, seed) for seed in np.random.SeedSequence(5).spawn(3)]
+        stacked = mle._run_stack(data, 2, config, members)
+        monkeypatch.setattr(mle, "_BLOCK_CELLS", 2 * data.N)
+        for member, fit in zip(members, stacked):
+            alone = mle._run_stack(data, 2, config, [member])[0]
+            for got, want in zip(fit, alone):
+                assert_bitwise(got, want)
 
 
 class TestFit:
