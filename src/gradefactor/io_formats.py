@@ -47,6 +47,11 @@ _BAD_CELL = 3
 # bytes of one row block of the plain-file decoder, which bounds its
 # temporaries
 _BLOCK_BYTES = 1 << 20
+# a block of at most this many bytes counts its rows' commas in int32 in
+# one call, a temporary of 4 bytes a byte (256 KiB at most); a larger one
+# counts them in uint8 pieces, which cost more calls: 15 against 5 us for
+# an 18 KB block (100 x 100, p_obs 0.8), 25 against 23 us at 120 KB
+_INT32_COUNT_BYTES = 1 << 16
 _COMMA, _LF, _CR = b",\n\r"
 
 
@@ -204,10 +209,13 @@ def _decode_plain(text):
 
 def _commas_per_row(is_comma, row_starts):
     """The number of commas in each row of a block whose rows start at
-    row_starts.  The commas are counted in uint8 over pieces of at most 255
-    bytes, which cannot overflow, with a piece starting at every row start,
-    and the pieces' counts are then summed per row: a count in int32 would
-    cast the whole block to 4 bytes a byte first."""
+    row_starts.  Past _INT32_COUNT_BYTES the commas are counted in uint8
+    over pieces of at most 255 bytes, which cannot overflow, with a piece
+    starting at every row start, and the pieces' counts are then summed
+    per row: a count in int32 would cast the whole block to 4 bytes a byte
+    first."""
+    if is_comma.size <= _INT32_COUNT_BYTES:
+        return np.add.reduceat(is_comma, row_starts, dtype=np.int32)
     pieces = np.sort(np.concatenate((row_starts, np.arange(0, is_comma.size, 255))))
     # reduceat sums a piece only up to a strictly greater next start
     pieces = pieces[np.append(pieces[1:] != pieces[:-1], True)]

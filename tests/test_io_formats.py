@@ -241,8 +241,11 @@ def test_dense_read_counts_commas_without_a_copy_of_the_block(tmp_path):
     assert peak < 2.30e6 - 1e6
 
 
-def test_commas_per_row_counts_long_rows_exactly():
-    # rows of 255 commas and more fill and pass a uint8 piece count
+@pytest.mark.parametrize("int32_bytes", [0, io_formats._INT32_COUNT_BYTES])
+def test_commas_per_row_counts_long_rows_exactly(monkeypatch, int32_bytes):
+    # rows of 255 commas and more fill and pass a uint8 piece count; at 0
+    # every block is counted in pieces
+    monkeypatch.setattr(io_formats, "_INT32_COUNT_BYTES", int32_bytes)
     rng = np.random.default_rng(13)
     lengths = [1, 254, 255, 256, 3000, 1, 700]
     rows = [b"".join(rng.choice([b",", b"0", b"1"], n)) + b"\n" for n in lengths]
