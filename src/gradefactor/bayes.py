@@ -36,6 +36,8 @@ from .model import (FactorModel, ResponseMatrix, check_count, check_dimensions,
                     check_observed, masked_gram)
 
 _TAIL_THRESHOLD = 4.0
+# redraw rounds before a draw that keeps rounding to <= 0 is refused
+_MAX_REDRAWS = 100
 _PD_JITTER = 1e-10
 _R_CLIP = 1e-12
 # the fixed prior of the module docstring; V0 = I_K and h = K + 1 follow
@@ -85,74 +87,63 @@ class PosteriorSummary:
             raise ValueError("activity probabilities must lie in [0, 1]")
 
 
-def _std_truncnorm_lower(a, rng):
-    """Standard normal conditioned on X >= a, elementwise over a, from one
-    uniform per element."""
-    a = np.asarray(a, dtype=float)
-    u = 1.0 - rng.random(a.shape)  # in (0, 1]
-    # survival-function inversion avoids cancellation for a near 0
-    out = -special.ndtri(u * special.ndtr(-a))
-    tail = ~(a <= _TAIL_THRESHOLD)  # NaN included
-    if tail.any():
-        at = a[tail]
-        if not np.isfinite(at).all():
+def _std_truncnorm_upper(w, rng):
+    """Standard normal conditioned on T <= w, elementwise over the array
+    w, from one uniform per element."""
+    u = rng.random(w.shape)
+    np.subtract(1.0, u, out=u)  # in (0, 1]
+    # inverting the CDF below w avoids cancellation for w near 0
+    t = special.ndtr(w)
+    t *= u
+    special.ndtri(t, out=t)
+    # one reduce finds whether any point lies in the tail, NaN included
+    if not np.minimum.reduce(w, axis=None, initial=math.inf) >= -_TAIL_THRESHOLD:
+        tail = ~(w >= -_TAIL_THRESHOLD)
+        wt = w[tail]
+        if not np.isfinite(wt).all():
             raise ValueError("truncation points must be finite")
-        # ndtr(-a) loses its digits out here, so invert in log space
-        out[tail] = -special.ndtri_exp(np.log(u[tail]) + special.log_ndtr(-at))
-    return out
+        # ndtr(w) loses its digits out here, so invert in log space
+        t[tail] = special.ndtri_exp(np.log(u[tail]) + special.log_ndtr(wt))
+    return t
 
 
 def sample_truncnorm(mean, var, rng):
     """Draw normal variates constrained strictly to (0, inf).
 
-    mean and var broadcast; the draws take the broadcast shape.  A draw on
-    (-inf, 0) is the negated draw for the negated mean.
+    mean and var broadcast; the draws take the broadcast shape, and a
+    scalar mean and var give a float.  A draw on (-inf, 0) is the negated
+    draw for the negated mean.  A draw is x = m - sigma T with T a
+    standard normal below w = m / sigma.  A draw that rounds to x <= 0
+    is redrawn; when the positive excess lies below the float spacing
+    near m, every redraw rounds too, and after _MAX_REDRAWS rounds a
+    ValueError says so.
     """
     mean = np.asarray(mean, dtype=float)
     var = np.asarray(var, dtype=float)
-    if not (var > 0).all():  # NaN included
+    if not np.minimum.reduce(var, axis=None, initial=math.inf) > 0:  # NaN included
         raise ValueError("variance must be positive")
     scalar_in = mean.ndim == 0 and var.ndim == 0
-    shape = np.broadcast(mean, var).shape
-    m = mean if mean.shape == shape else np.broadcast_to(mean, shape)
+    if scalar_in:
+        mean = mean.reshape(1)
     sigma = np.sqrt(var)
-    a = -m / sigma
-    x = m + sigma * _std_truncnorm_lower(a, rng)
+    w = mean / sigma
+    x = _std_truncnorm_upper(w, rng)
+    x *= sigma
+    np.subtract(mean, x, out=x)
     # boundary hits are measure-zero but float-representable; redraw them
-    while (x <= 0).any():
+    rounds = 0
+    while np.fmin.reduce(x, axis=None, initial=math.inf) <= 0:  # NaN ignored
         bad = x <= 0
-        sigma_bad = np.broadcast_to(sigma, shape)[bad]
-        x[bad] = m[bad] + sigma_bad * _std_truncnorm_lower(a[bad], rng)
-    return float(x) if scalar_in else x
-
-
-def sample_rect_normal(m, s, lam, rng):
-    """Draw from the exponentially tilted normal on [0, inf).
-
-    The density proportional to exp(-(x-m)^2 / 2s - lam*x) on x >= 0 is a
-    normal with mean m - lam*s and variance s truncated to the positive
-    half-line; sampling reuses the truncated-normal kernel exactly.
-    """
-    m = np.asarray(m, dtype=float)
-    s = np.asarray(s, dtype=float)
-    if not (s > 0).all():  # NaN included
-        raise ValueError("slab variance must be positive")
-    if not (np.asarray(lam) >= 0).all():
-        raise ValueError("tilt rate must be non-negative")
-    return sample_truncnorm(m - lam * s, s, rng)
-
-
-def rect_normal_logpdf(x, m, s, lam):
-    """Log density of the rectified normal; -inf for negative arguments."""
-    x = np.asarray(x, dtype=float)
-    theta = m - lam * s
-    root_s = np.sqrt(s)
-    logpdf = (
-        -((x - theta) ** 2) / (2.0 * s)
-        - 0.5 * np.log(2.0 * math.pi * s)
-        - special.log_ndtr(theta / root_s)
-    )
-    return np.where(x >= 0, logpdf, -np.inf)
+        m_bad = np.broadcast_to(mean, x.shape)[bad]
+        sigma_bad = np.broadcast_to(sigma, x.shape)[bad]
+        if rounds == _MAX_REDRAWS:
+            raise ValueError(
+                f"mean {m_bad[0]:g} with sd {sigma_bad[0]:g}: the draw's excess "
+                "over 0 is below float resolution near the mean, so "
+                f"{_MAX_REDRAWS} redraws all rounded to <= 0")
+        rounds += 1
+        x[bad] = m_bad - sigma_bad * _std_truncnorm_upper(w[bad], rng)
+    return float(x[0]) if scalar_in else x
 
 
 def sample_inv_wishart(scale, df, rng):
@@ -235,36 +226,65 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng):
 
     Every conditional follows from two products made once per call: the
     masked Gram M_i = sum_j mask_ij c_j c_j^T of each question and the
-    projection P = (mask * (Z - mu)) C^T.
+    projection P = (mask * (Z - mu)) C^T.  The slab variance
+    s = 1 / (M_i)_kk and what depends on it alone are K x Q arrays made
+    once per call; a concept's pass forms the slab mean theta and the
+    log-odds of its activity in place and draws its slab in one
+    sample_truncnorm call.  With theta = m - lambda s, an active weight
+    is a normal of mean theta and variance s on [0, inf), and the
+    log-odds of activity are log r - log(1 - r) + log lambda
+    + log_ndtr(theta / sqrt s) + theta^2 / 2s + log(2 pi s) / 2.
     """
     W, C, Z, mu = state.W, state.C, state.Z, state.mu
     Q, K = W.shape
     maskf = data.observed.float_mask
     gram = masked_gram(C, maskf)  # Q x K x K
     proj = (maskf * (Z - mu[:, None])) @ C.T  # Q x K
+    den = gram.diagonal(axis1=1, axis2=2).T.copy()  # K x Q: (M_i)_kk
+    good = den > 0.0  # the row has signal on the concept
+    full = good.all(axis=1).tolist()
+    s = np.divide(1.0, den, out=np.ones_like(den), where=good)
+    root_s = np.sqrt(s)
+    two_s = 2.0 * s
+    half_log = 0.5 * np.log(2.0 * math.pi * s)
+    lam_s = state.lam[:, None] * s
+    log_lam = np.log(state.lam)
+    log_r = np.log(state.r)
+    log1m_r = np.log1p(-state.r)
+    act = np.empty((K, Q))
+    act[:] = state.r[:, None]
     for k in range(K):
-        lam_k = float(state.lam[k])
-        r_k = float(state.r[k])
-        den = gram[:, k, k]
+        g = slice(None) if full[k] else good[k]  # a view when every row has signal
         # the masked residual of every other concept, projected on c_k
-        num = proj[:, k] - (gram[:, k] * W).sum(axis=1) + W[:, k] * den
-        good = den > 0.0
-        m_hat = num[good] / den[good]
-        s_hat = 1.0 / den[good]
-        act = np.full(Q, r_k)
-        log_ratio = rect_normal_logpdf(0.0, m_hat, s_hat, lam_k)
-        act[good] = special.expit(
-            -(log_ratio - np.log(lam_k)) + np.log(r_k) - np.log1p(-r_k)
-        )
-        active = rng.random(Q) < act
+        num = np.add.reduce(gram[:, k] * W, axis=1)
+        np.subtract(proj[:, k], num, out=num)
+        num += W[:, k] * den[k]
+        theta = num[g]
+        theta /= den[k, g]
+        theta -= lam_s[k, g]
+        # log-odds of activity: minus the slab's log density at 0, then
+        # plus log lambda + log r - log(1 - r)
+        odds = theta * theta
+        odds /= two_s[k, g]
+        odds += half_log[k, g]
+        odds += special.log_ndtr(theta / root_s[k, g])
+        odds += log_lam[k]
+        odds += log_r[k]
+        odds -= log1m_r[k]
+        act[k, g] = special.expit(odds, out=odds)
+        active = rng.random(Q) < act[k]
+        slab = sample_truncnorm(theta, s[k, g], rng)
+        if full[k]:
+            W[:, k] = np.where(active, slab, 0.0)
+            continue
+        # an active weight on a row without signal is drawn from its prior
         new_col = np.zeros(Q)
-        slab = sample_rect_normal(m_hat, s_hat, lam_k, rng)
-        new_col[good] = np.where(active[good], slab, 0.0)
-        fallback = active & ~good
+        new_col[g] = np.where(active[g], slab, 0.0)
+        fallback = active & ~g
         if fallback.any():
-            new_col[fallback] = rng.exponential(1.0 / lam_k, int(fallback.sum()))
+            new_col[fallback] = rng.exponential(1.0 / state.lam[k], int(fallback.sum()))
         W[:, k] = new_col
-        state.activity[:, k] = act
+    state.activity[:] = act.T
 
 
 def step_rates(state: GibbsState, rng):

@@ -1,6 +1,8 @@
 """Shared independent oracles for the test suite, adapters that run the
-batched ML kernels on a single question row or learner column, and the
-Gibbs sampler's state invariants and reference steps.
+batched ML kernels on a single question row or learner column, the
+Gibbs sampler's state invariants, reference steps and the rectified
+normal that its weight step draws from, and a runner for scripts in a
+fresh interpreter.
 
 The oracles are built from the math module / scipy.integrate only, so
 oracle values never flow through the code paths they are checking.  The
@@ -10,11 +12,16 @@ fit_ml runs, so solver tests check the estimator's own code.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 from scipy import linalg as sla
 from scipy import special
 
+import gradefactor
 from gradefactor import bayes, mle
 from gradefactor.links import LinkKind
 from gradefactor.model import ResponseMatrix
@@ -187,6 +194,50 @@ def validate_state(state, data=None):
             raise ValueError("Z signs must match the observed responses")
 
 
+def sample_rect_normal(m, s, lam, rng):
+    """Draw from the exponentially tilted normal on [0, inf).
+
+    The density proportional to exp(-(x-m)^2 / 2s - lam*x) on x >= 0 is a
+    normal with mean m - lam*s and variance s truncated to the positive
+    half-line; sampling reuses the truncated-normal kernel exactly.
+    """
+    m = np.asarray(m, dtype=float)
+    s = np.asarray(s, dtype=float)
+    if not (s > 0).all():  # NaN included
+        raise ValueError("slab variance must be positive")
+    if not (np.asarray(lam) >= 0).all():
+        raise ValueError("tilt rate must be non-negative")
+    return bayes.sample_truncnorm(m - lam * s, s, rng)
+
+
+def rect_normal_logpdf(x, m, s, lam):
+    """Log density of the rectified normal; -inf for negative arguments."""
+    x = np.asarray(x, dtype=float)
+    theta = m - lam * s
+    root_s = np.sqrt(s)
+    logpdf = (
+        -((x - theta) ** 2) / (2.0 * s)
+        - 0.5 * np.log(2.0 * math.pi * s)
+        - special.log_ndtr(theta / root_s)
+    )
+    return np.where(x >= 0, logpdf, -np.inf)
+
+
+def run_child(script, *options, timeout=120):
+    """Lines a fresh interpreter prints running script with the package
+    this test imported; it is killed, and the test fails, after timeout
+    seconds."""
+    # the child does not inherit pytest's pythonpath setting: point it at
+    # the src directory of the package this test imported
+    src = str(Path(gradefactor.__file__).resolve().parents[1])
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, *options, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
 def step_weights_residual(state, data, rng):
     """Reference weight step: the residual form that keeps a dense Q x N
     residual R = Z - mu - W C and updates it rank-one per concept.  It
@@ -205,13 +256,13 @@ def step_weights_residual(state, data, rng):
         m_hat = num[good] / den[good]
         s_hat = 1.0 / den[good]
         act = np.full(Q, r_k)
-        log_ratio = bayes.rect_normal_logpdf(0.0, m_hat, s_hat, lam_k)
+        log_ratio = rect_normal_logpdf(0.0, m_hat, s_hat, lam_k)
         act[good] = special.expit(
             -(log_ratio - np.log(lam_k)) + np.log(r_k) - np.log1p(-r_k)
         )
         active = rng.random(Q) < act
         new_col = np.zeros(Q)
-        slab = bayes.sample_rect_normal(m_hat, s_hat, lam_k, rng)
+        slab = sample_rect_normal(m_hat, s_hat, lam_k, rng)
         new_col[good] = np.where(active[good], slab, 0.0)
         fallback = active & ~good
         if fallback.any():

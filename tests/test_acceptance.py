@@ -19,12 +19,7 @@ import pytest
 from scipy import integrate, optimize, stats
 
 import gradefactor as gf
-from gradefactor.bayes import (
-    GibbsState,
-    rect_normal_logpdf,
-    sample_rect_normal,
-    step_weights,
-)
+from gradefactor.bayes import GibbsState, step_weights
 from gradefactor.evaluate import match_permutation
 from gradefactor.links import LinkKind, logit_hazard, probit_hazard
 from gradefactor.mle import MLConfig, bic_select_lambda, fit_ml
@@ -37,9 +32,11 @@ from helpers import (
     central_diff,
     col_gradient,
     random_row_instance,
+    rect_normal_logpdf,
     row_gradient,
     row_lipschitz,
     row_objective_oracle,
+    sample_rect_normal,
     smooth_col_oracle,
     smooth_row_oracle,
     solve_row,

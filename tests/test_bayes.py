@@ -1,6 +1,7 @@
 """Sampler correctness: moment checks against rejection/quadrature oracles,
 conjugate closed forms, distributional tests, and sweep invariants."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -12,23 +13,30 @@ from gradefactor.bayes import (
     GibbsState,
     _initial_state,
     _resolve,
-    _std_truncnorm_lower,
+    _std_truncnorm_upper,
     _sweep,
     posterior_point_estimates,
-    rect_normal_logpdf,
     run_gibbs,
     sample_inv_wishart,
-    sample_rect_normal,
     sample_truncnorm,
     step_covariance,
     step_difficulty,
+    step_inclusion,
     step_knowledge,
+    step_rates,
     step_slack,
     step_weights,
 )
 from gradefactor.model import ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
-from helpers import step_knowledge_shared, step_weights_residual, validate_state
+from helpers import (
+    rect_normal_logpdf,
+    run_child,
+    sample_rect_normal,
+    step_knowledge_shared,
+    step_weights_residual,
+    validate_state,
+)
 
 
 class TestTruncnorm:
@@ -87,7 +95,7 @@ class TestTruncnorm:
         a = np.linspace(-6.0, 4.0, 101)
         u = 1.0 - np.random.default_rng(41).random(a.shape)
         expected = -special.ndtri(u * special.ndtr(-a))
-        draws = _std_truncnorm_lower(a, np.random.default_rng(41))
+        draws = -_std_truncnorm_upper(-a, np.random.default_rng(41))
         np.testing.assert_array_equal(draws, expected)
 
     @pytest.mark.parametrize("a", [4.5, 8.0, 40.0, 300.0])
@@ -95,12 +103,44 @@ class TestTruncnorm:
         # P(X > x | X > a) = Q(x) / Q(a), with Q(x) = erfcx(x / sqrt 2)
         # exp(-x^2 / 2) / 2 written through erfcx, which the sampler does
         # not use; the conditional CDF of exact draws is uniform on (0, 1)
-        x = _std_truncnorm_lower(np.full(50_000, a), np.random.default_rng(42))
+        x = -_std_truncnorm_upper(np.full(50_000, -a), np.random.default_rng(42))
         assert (x >= a).all()
         root2 = math.sqrt(2.0)
         surv = (special.erfcx(x / root2) / special.erfcx(a / root2)
                 * np.exp(-0.5 * (x - a) * (x + a)))
         assert stats.kstest(1.0 - surv, "uniform").pvalue > 0.001
+
+    @pytest.mark.parametrize("mean", [0.3, -5.0, -40.0])
+    def test_scalar_call_returns_float(self, mean):
+        # -5 and -40 put the truncation point in the log-space tail; the
+        # draw is the one a one-element array call makes
+        draw = sample_truncnorm(mean, 1.0, np.random.default_rng(43))
+        array = sample_truncnorm(np.array([mean]), 1.0, np.random.default_rng(43))
+        assert type(draw) is float
+        assert draw > 0
+        assert draw == array[0]
+
+    def test_scalar_rect_normal_in_the_tail_returns_float(self):
+        # theta = 0 - 6 * 1 is 6 sd below 0
+        draw = sample_rect_normal(0.0, 1.0, 6.0, np.random.default_rng(44))
+        assert type(draw) is float
+        assert draw > 0
+
+    def test_draw_below_float_resolution_ends(self):
+        # the excess over 0 is about var / |mean| = 1e-16, below the
+        # float spacing near 1e6 (1.2e-10), so every redraw rounds to <= 0
+        script = (
+            "import numpy as np\n"
+            "from gradefactor.bayes import sample_truncnorm\n"
+            "try:\n"
+            "    sample_truncnorm(np.array([-1e6]), 1e-10, np.random.default_rng(0))\n"
+            "except ValueError as err:\n"
+            "    print(err)\n"
+        )
+        lines = run_child(script, timeout=60)
+        assert len(lines) == 1
+        assert "below float resolution" in lines[0]
+        assert "mean -1e+06" in lines[0]
 
 
 class TestRectNormal:
@@ -194,17 +234,19 @@ class TestWPosteriorStats:
         assert 1.0 - state.activity[0, 0] < 1e-9
 
     def test_single_observation_plugin(self, monkeypatch):
+        # m_hat = 2 and s_hat = 1: the slab is a normal of mean
+        # m_hat - lam s_hat = 1 and variance s_hat = 1 on (0, inf)
         seen = []
 
-        def recording(m_hat, s_hat, lam, rng, _real=bayes.sample_rect_normal):
-            seen.append((m_hat, s_hat))
-            return _real(m_hat, s_hat, lam, rng)
+        def recording(mean, var, rng, _real=bayes.sample_truncnorm):
+            seen.append((mean, var))
+            return _real(mean, var, rng)
 
-        monkeypatch.setattr(bayes, "sample_rect_normal", recording)
+        monkeypatch.setattr(bayes, "sample_truncnorm", recording)
         one_question_weight_step([2.0], [[1.0]], 1.0, 0.5)
-        (m_hat, s_hat), = seen
-        assert float(m_hat[0]) == pytest.approx(2.0)
-        assert float(s_hat[0]) == pytest.approx(1.0)
+        (mean, var), = seen
+        assert float(mean[0]) == pytest.approx(2.0 - 1.0 * 1.0)
+        assert float(var[0]) == pytest.approx(1.0)
 
     def test_scalar_spike_probability_matches_quadrature(self):
         # scalar model: x | m ~ N(m, 1), m ~ r Exp(lam) + (1-r) delta0
@@ -269,6 +311,25 @@ class TestSweepInvariants:
         state, rng = make_state(data, 2, 10)
         step_slack(state, data, rng)
         assert sizes == [data.n_observed]
+
+    def test_weight_step_is_one_draw_per_concept(self, monkeypatch):
+        # one sample_truncnorm call per concept over the rows with signal,
+        # an empty one for a concept with none
+        truth, data = generate_synthetic(SynthConfig(Q=6, N=7, K=3, p_obs=0.7, seed=9))
+        mask = data.mask.copy()
+        mask[2] = False  # a question with no observed response
+        data = ResponseMatrix(data.entries, mask)
+        sizes = []
+
+        def counting(mean, *args, _real=bayes.sample_truncnorm):
+            sizes.append(np.size(mean))
+            return _real(mean, *args)
+
+        state, rng = make_state(data, 3, 10)
+        state.C[1] = 0.0
+        monkeypatch.setattr(bayes, "sample_truncnorm", counting)
+        step_weights(state, data, rng)
+        assert sizes == [5, 0, 5]
 
     def test_slack_draws_uncorrelated_across_entries(self):
         truth, data = generate_synthetic(SynthConfig(Q=3, N=3, K=1, seed=11))
@@ -535,6 +596,78 @@ class TestChainPinned:
         np.testing.assert_array_equal(summary.mu_mean, sums["mu"] / 20.0)
         np.testing.assert_array_equal(summary.activity,
                                       np.clip(sums["activity"] / 20.0, 0.0, 1.0))
+
+
+def stressed_weight_chain(sweeps=24):
+    """The steps of 24 sweeps, in _sweep's order, on a 12 x 15 matrix at
+    p_obs 0.7 whose question 4 has no observed response.  Every third
+    sweep zeroes knowledge row 1 before the weight step, so concept 1
+    falls back to its prior; every fourth sets lambda_2 = 60, which puts
+    concept 2's slab means many sd below 0, in the sampler's tail.
+    Returns the state and the concept-1 weights drawn from the prior."""
+    truth, data = generate_synthetic(SynthConfig(Q=12, N=15, K=3, p_obs=0.7, seed=33))
+    mask = data.mask.copy()
+    mask[4] = False
+    data = ResponseMatrix(data.entries, mask)
+    rng = np.random.default_rng(34)
+    mu0 = _resolve(data)
+    state = _initial_state(data, 3, mu0, rng)
+    fallback = []
+    for t in range(sweeps):
+        step_slack(state, data, rng)
+        step_difficulty(state, data, mu0, rng)
+        step_knowledge(state, data, rng)
+        step_covariance(state, rng)
+        if t % 3 == 0:
+            state.C[1] = 0.0
+        if t % 4 == 1:
+            state.lam[2] = 60.0
+        step_weights(state, data, rng)
+        if t % 3 == 0:
+            fallback.append(state.W[:, 1].copy())
+        step_rates(state, rng)
+        step_inclusion(state, rng)
+    return state, np.concatenate(fallback)
+
+
+# (sum, sum of squares, max) of each field of stressed_weight_chain's
+# final state and the SHA-256 of their bytes, recorded before the weight
+# step and the truncated-normal sampler were rewritten; the rewrite keeps
+# every operation and every draw, so they must match exactly
+PINNED_STRESSED_CHAIN = {
+    "W": (1287.869628750233, 913656.8551577639, 865.526558178366),
+    "activity": (4.626794982430372, 3.551340993242379, 1.0),
+    "Z": (905.1458644913332, 1088423.3129897437, 738.3131710197887),
+    "C": (25.94394300380319, 228.08870474154975, 9.063209675240739),
+    "mu": (-23.239379647857, 306.5973773769238, 0.20734139924068207),
+}
+PINNED_STRESSED_DIGEST = "834084a72093774233a4a42b6951d953ce780406c41843b65a24d02a806f5f48"
+
+
+class TestStressedChainPinned:
+    def test_reaches_fallback_and_tail(self, monkeypatch):
+        tails = []
+
+        def recording(mean, var, rng, _real=bayes.sample_truncnorm):
+            w = np.asarray(mean) / np.sqrt(var)
+            tails.append((np.ndim(var), bool((w < -4.0).any())))
+            return _real(mean, var, rng)
+
+        monkeypatch.setattr(bayes, "sample_truncnorm", recording)
+        state, fallback = stressed_weight_chain()
+        assert (fallback > 0).any()
+        assert (0, True) in tails  # a slack draw in the tail
+        assert (1, True) in tails  # a weight draw in the tail
+
+    def test_final_state_pinned(self):
+        state, _ = stressed_weight_chain()
+        digest = hashlib.sha256()
+        for name, pinned in PINNED_STRESSED_CHAIN.items():
+            value = getattr(state, name)
+            digest.update(value.tobytes())
+            got = (float(value.sum()), float((value * value).sum()), float(value.max()))
+            assert got == pinned, name
+        assert digest.hexdigest() == PINNED_STRESSED_DIGEST
 
 
 class TestPointEstimates:

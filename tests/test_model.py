@@ -1,17 +1,12 @@
 """Response-matrix and factor-model contracts."""
 
 import math
-import os
-import subprocess
-import sys
 import textwrap
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import gradefactor
 from gradefactor.links import LinkKind, inv_link
 from gradefactor.model import (
     FactorModel,
@@ -20,6 +15,8 @@ from gradefactor.model import (
     log_likelihood,
     slack,
 )
+
+from helpers import run_child
 
 
 def phi(z):
@@ -290,16 +287,3 @@ def test_fits_never_load_scipy_optimize():
     """)
     assert run_child(script) == ["False"]
 
-
-def run_child(script, *options):
-    """Lines a fresh interpreter prints running script with the package
-    this test imported."""
-    # the child does not inherit pytest's pythonpath setting: point it at
-    # the src directory of the package this test imported
-    src = str(Path(gradefactor.__file__).resolve().parents[1])
-    path = [src, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    proc = subprocess.run([sys.executable, *options, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
