@@ -227,12 +227,13 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng):
     Every conditional follows from two products made once per call: the
     masked Gram M_i = sum_j mask_ij c_j c_j^T of each question and the
     projection P = (mask * (Z - mu)) C^T.  The slab variance
-    s = 1 / (M_i)_kk and what depends on it alone are K x Q arrays made
-    once per call; a concept's pass forms the slab mean theta and the
-    log-odds of its activity in place and draws its slab in one
-    sample_truncnorm call.  With theta = m - lambda s, an active weight
-    is a normal of mean theta and variance s on [0, inf), and the
-    log-odds of activity are log r - log(1 - r) + log lambda
+    s = 1 / (M_i)_kk and what depends on it alone are made once per
+    call, over the rows with signal only, packed concept by concept so
+    that a concept's rows are a slice.  A concept's pass forms the slab
+    mean theta and the log-odds of its activity in place and draws its
+    slabs in one sample_truncnorm call.  With theta = m - lambda s, an
+    active weight is a normal of mean theta and variance s on [0, inf),
+    and the log-odds of activity are log r - log(1 - r) + log lambda
     + log_ndtr(theta / sqrt s) + theta^2 / 2s + log(2 pi s) / 2.
     """
     W, C, Z, mu = state.W, state.C, state.Z, state.mu
@@ -242,48 +243,51 @@ def step_weights(state: GibbsState, data: ResponseMatrix, rng):
     proj = (maskf * (Z - mu[:, None])) @ C.T  # Q x K
     den = gram.diagonal(axis1=1, axis2=2).T.copy()  # K x Q: (M_i)_kk
     good = den > 0.0  # the row has signal on the concept
-    full = good.all(axis=1).tolist()
-    s = np.divide(1.0, den, out=np.ones_like(den), where=good)
+    # what depends on s alone, over the rows with signal, packed concept
+    # by concept: concept k's rows are ends[k]:ends[k + 1]
+    counts = np.count_nonzero(good, axis=1)
+    ends = [0] + np.cumsum(counts).tolist()
+    den_g = den[good]
+    s = 1.0 / den_g
     root_s = np.sqrt(s)
     two_s = 2.0 * s
     half_log = 0.5 * np.log(2.0 * math.pi * s)
-    lam_s = state.lam[:, None] * s
+    lam_s = np.repeat(state.lam, counts) * s
     log_lam = np.log(state.lam)
     log_r = np.log(state.r)
     log1m_r = np.log1p(-state.r)
     act = np.empty((K, Q))
     act[:] = state.r[:, None]
     for k in range(K):
-        g = slice(None) if full[k] else good[k]  # a view when every row has signal
+        g = good[k]
+        rows = slice(ends[k], ends[k + 1])
         # the masked residual of every other concept, projected on c_k
         num = np.add.reduce(gram[:, k] * W, axis=1)
         np.subtract(proj[:, k], num, out=num)
         num += W[:, k] * den[k]
         theta = num[g]
-        theta /= den[k, g]
-        theta -= lam_s[k, g]
+        theta /= den_g[rows]
+        theta -= lam_s[rows]
         # log-odds of activity: minus the slab's log density at 0, then
         # plus log lambda + log r - log(1 - r)
         odds = theta * theta
-        odds /= two_s[k, g]
-        odds += half_log[k, g]
-        odds += special.log_ndtr(theta / root_s[k, g])
+        odds /= two_s[rows]
+        odds += half_log[rows]
+        odds += special.log_ndtr(theta / root_s[rows])
         odds += log_lam[k]
         odds += log_r[k]
         odds -= log1m_r[k]
-        act[k, g] = special.expit(odds, out=odds)
+        act[k][g] = special.expit(odds, out=odds)
         active = rng.random(Q) < act[k]
-        slab = sample_truncnorm(theta, s[k, g], rng)
-        if full[k]:
-            W[:, k] = np.where(active, slab, 0.0)
-            continue
+        slab = sample_truncnorm(theta, s[rows], rng)
+        col = np.zeros(Q)
+        col[g] = slab
+        W[:, k] = np.where(active, col, 0.0)
         # an active weight on a row without signal is drawn from its prior
-        new_col = np.zeros(Q)
-        new_col[g] = np.where(active[g], slab, 0.0)
         fallback = active & ~g
-        if fallback.any():
-            new_col[fallback] = rng.exponential(1.0 / state.lam[k], int(fallback.sum()))
-        W[:, k] = new_col
+        n_fallback = np.count_nonzero(fallback)
+        if n_fallback:
+            W[fallback, k] = rng.exponential(1.0 / state.lam[k], n_fallback)
     state.activity[:] = act.T
 
 
