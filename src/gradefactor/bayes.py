@@ -110,21 +110,19 @@ def _std_truncnorm_upper(w, rng):
 def sample_truncnorm(mean, var, rng):
     """Draw normal variates constrained strictly to (0, inf).
 
-    mean and var broadcast; the draws take the broadcast shape, and a
-    scalar mean and var give a float.  A draw on (-inf, 0) is the negated
+    mean and var are arrays that broadcast, and the draws take the
+    broadcast shape; a 0-d mean is taken as one element, so the draws
+    have at least one dimension.  A draw on (-inf, 0) is the negated
     draw for the negated mean.  A draw is x = m - sigma T with T a
     standard normal below w = m / sigma.  A draw that rounds to x <= 0
     is redrawn; when the positive excess lies below the float spacing
     near m, every redraw rounds too, and after _MAX_REDRAWS rounds a
     ValueError says so.
     """
-    mean = np.asarray(mean, dtype=float)
+    mean = np.array(mean, dtype=float, ndmin=1, copy=None)
     var = np.asarray(var, dtype=float)
     if not np.minimum.reduce(var, axis=None, initial=math.inf) > 0:  # NaN included
         raise ValueError("variance must be positive")
-    scalar_in = mean.ndim == 0 and var.ndim == 0
-    if scalar_in:
-        mean = mean.reshape(1)
     sigma = np.sqrt(var)
     w = mean / sigma
     x = _std_truncnorm_upper(w, rng)
@@ -143,7 +141,7 @@ def sample_truncnorm(mean, var, rng):
                 f"{_MAX_REDRAWS} redraws all rounded to <= 0")
         rounds += 1
         x[bad] = m_bad - sigma_bad * _std_truncnorm_upper(w[bad], rng)
-    return float(x[0]) if scalar_in else x
+    return x
 
 
 def sample_inv_wishart(scale, df, rng):

@@ -197,7 +197,7 @@ def _given(args, method):
 def _fit_ml(args, data):
     options = _given(args, "ml")
     lambda_grid = options.pop("lambda_grid", None)
-    threads = {"n_threads": options.pop("n_threads")} if "n_threads" in options else {}
+    n_threads = options.pop("n_threads", 1)
     if "link" in options:
         options["link"] = LinkKind(options["link"])
     config = MLConfig(seed=args.seed, **options)
@@ -205,14 +205,15 @@ def _fit_ml(args, data):
     if lambda_grid is not None:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            selection = bic_select_lambda(data, args.k, lambda_grid, config, **threads)
+            selection = bic_select_lambda(data, args.k, lambda_grid, config,
+                                          n_threads=n_threads)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
         model, extras["trace"] = selection.model, selection.trace
         extras["lambda_l1"] = selection.lambda_l1
         extras["lambda_selection"] = selection.table
     else:
-        model, extras["trace"] = fit_ml(data, args.k, config, **threads)
+        model, extras["trace"] = fit_ml(data, args.k, config, n_threads=n_threads)
     return model, extras
 
 

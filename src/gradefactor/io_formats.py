@@ -296,8 +296,9 @@ def read_model_json(path):
     """Returns (FactorModel, full payload dict).
 
     Text that is not JSON or nests too deeply, a missing key, a value of
-    the wrong type or shape, and an unknown link raise ValueError naming
-    the file.
+    the wrong type or shape, a W entry that is not a (question, concept,
+    value) triplet or repeats a pair, and an unknown link raise
+    ValueError naming the file.
     """
     text = read_text(path)
     try:
@@ -315,10 +316,17 @@ def read_model_json(path):
                                         and all(type(x) is str for x in ids)):
                 raise ValueError(f"{key} is not a list of {size} strings")
         W = np.zeros((Q, K))
-        for i, k, value in payload["W"]:
+        given = np.zeros((Q, K), dtype=bool)
+        for n, entry in enumerate(payload["W"]):
+            if type(entry) is not list or len(entry) != 3:
+                raise ValueError(f"W entry {n} is not a (question, concept, value) triplet")
+            i, k, value = entry
             if not (type(i) is int and type(k) is int and 0 <= i < Q and 0 <= k < K):
                 raise ValueError(f"W triplet index ({i!r}, {k!r}) is not an integer "
                                  f"or is out of range for Q={Q}, K={K}")
+            if given[i, k]:
+                raise ValueError(f"W gives question {i}, concept {k} more than once")
+            given[i, k] = True
             W[i, k] = value
         model = FactorModel(W, C, mu, LinkKind(payload["link"]))
     except KeyError as exc:

@@ -62,14 +62,13 @@ class KsvdConfig:
         return s
 
 
-def nn_omp(dictionary, target, s, mask=None):
+def nn_omp(dictionary, target, s, mask):
     """Non-negative orthogonal matching pursuit of every target row at once.
 
-    dictionary is K x N (the atoms are its rows).  target is one length-N
-    row or a Q x N stack; s is one budget or one per row; mask (the
-    target's shape, True where observed) restricts each row's inner
-    products and fits to its observed cells, and None observes every cell.
-    Returns (K,) coefficients for one row and Q x K for a stack.
+    dictionary is K x N (the atoms are its rows) and target a Q x N stack;
+    s is one budget or one per row; mask (Q x N, True where observed)
+    restricts each row's inner products and fits to its observed cells.
+    Returns the Q x K coefficients.
 
     Each row greedily picks the atom with the largest (signed, not
     absolute) inner product with its residual, then refits all its
@@ -86,10 +85,7 @@ def nn_omp(dictionary, target, s, mask=None):
     """
     D = np.asarray(dictionary, dtype=float)
     Y = np.asarray(target, dtype=float)
-    single = Y.ndim == 1
-    Y = Y.reshape(-1, D.shape[1])
-    mask = (np.ones(Y.shape, dtype=bool) if mask is None
-            else np.asarray(mask, dtype=bool).reshape(Y.shape))
+    mask = np.asarray(mask, dtype=bool)
     Q, K = len(Y), D.shape[0]
     budget = np.broadcast_to(s, (Q,))
     if (budget > K).any():
@@ -124,7 +120,7 @@ def nn_omp(dictionary, target, s, mask=None):
             from scipy.optimize import nnls
             obs = mask[i]
             coef[i, S_i], _ = nnls(D[S_i][:, obs].T, Y[i, obs])
-    return coef[0] if single else coef
+    return coef
 
 
 def _positive_solve(G, b):

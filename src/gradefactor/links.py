@@ -111,11 +111,10 @@ def probit_hazard(x, out=None):
     below -8 take sqrt(2/pi) / erfcx(-x/sqrt(2)), which stays accurate
     where N and Phi both underflow.  exp and ndtr see the input clamped
     to [-8, 40], so no cell divides 0 by 0 and x^2 stays finite; above
-    38.6 the ratio is 0 either way.  Makes one temporary of the input's
-    size.
+    38.6 the ratio is 0 either way.  Returns an array of the input's
+    shape (0-d for a 0-d input) and makes one temporary of its size.
     """
     x = np.asarray(x, dtype=float)
-    scalar = out is None and x.ndim == 0
     tail = None
     # fmin skips NaN, which would hide every other cell's minimum
     if np.fmin.reduce(x, axis=None, initial=np.inf) < _HAZARD_CUT:
@@ -133,7 +132,7 @@ def probit_hazard(x, out=None):
     np.divide(pdf, cdf, out=out)
     if tail is not None:
         out.flat[tail] = tail_values
-    return out[()] if scalar else out
+    return out
 
 
 def logit_hazard(x, out=None):

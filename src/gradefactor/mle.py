@@ -28,61 +28,18 @@ from .model import (FactorModel, ResponseMatrix, check_count, check_dimensions,
 _L_FLOOR = 1e-12
 # the members of one fit (its restarts, and with a lambda grid every
 # (lambda, restart) pair) advance together as stacks of at most this many
-# cells (B * Q * N), or of one member when it alone is larger.  A stack of
-# small members makes one kernel call where each would make its own: per
-# member, 8 logit members of 34 x 99 took 15 ms where one alone took 23
-# (8 outer iterations, K = 5).  Larger stacks spill the workspace out of
-# cache: 2 members of 32k cells took 2-21% longer each than one alone.
+# cells (B * Q * N), or of one member when it alone is larger (measured in
+# BENCH_14.json, batch_cells_choice)
 _BATCH_CELLS = 32_768
 # a fit splits its members into stacks for a thread pool only while each
-# stack keeps at least this many cells: a smaller one spends its steps
-# mostly in Python overhead under the interpreter lock, so a second
-# thread adds contention, not speed.  Probit breaks even near 6000 cells:
-# with BLAS on one thread, K = 5, lambda 1 and 25 outer iterations, the
-# split on 2 threads against one stack on the calling thread (medians of
-# 7 alternating rounds) ran 2 restarts at 50 x 50 in 0.243 / 0.163 s
-# against 0.157 / 0.109 s (faster in 0 and 1 of 7), at 60 x 60 0.238 s
-# against 0.162 s (0 of 7), at 70 x 80 0.272 s against 0.269 s (2 of 7),
-# and BIC over 4 lambdas x 2 restarts at 20 x 50 (two stacks of 4000
-# cells) 0.238 s against 0.238 s (2 of 7).  It paid from 8000 cells: 2
-# restarts at 80 x 100 0.406 / 0.327 / 0.308 s against 0.393 / 0.362 /
-# 0.371 s (5, 7 and 5 of 7), at 100 x 120 0.370 s against 0.519 s (6 of
-# 7), at 100 x 160 0.487 / 0.448 s against 0.681 / 0.675 s, and BIC at
-# 34 x 99 0.437 / 0.394 / 0.425 s against 0.668 / 0.558 / 0.638 s (7 of
-# 7 in each set) and at 40 x 50 0.301 / 0.300 s against 0.362 / 0.382 s
-# (7 and 6 of 7); 3 restarts at 60 x 100, split into stacks of 12000 and
-# 6000 cells, broke even (0.433 / 0.369 s against 0.427 / 0.372 s, 4 of
-# 7 each).  No logit split measured paid, its cheaper kernels releasing
-# the lock for less time: with BLAS on one thread, 5 BIC fits of 34 x 99
-# (4 lambdas x 2 restarts, 25 outer iterations) ran faster as one stack
-# of 8 on 1 thread than as two stacks of 4 (13464 cells each) on 2
-# threads in 20 of 28 alternating rounds (medians 1.02 / 0.96 / 1.13 s
-# against 1.06 / 1.12 / 1.20 s in three sets), as did restarts in one
-# stack against one per thread (15 outer iterations): 2 at 80 x 100 and
-# at 100 x 160 in 7 of 7 rounds each, 3 at 100 x 100 in 5 of 7.
+# stack keeps at least this many cells, below which a second thread adds
+# contention under the interpreter lock, not speed (BENCH_21.json,
+# serial_restart_cells_probit; BENCH_17.json, serial_restart_cells_logit)
 _SERIAL_RESTART_CELLS = {LinkKind.PROBIT: 8_000, LinkKind.LOGIT: 16_384}
 # both halves of an ML phase run block by block of rows, each block at
 # most this many cells (512 KiB) of every member, instead of as dense
-# B x Q x N arrays written out to memory and read back at the observed
-# cells.  The slack half forms each block's product and gathers its
-# observed cells while it is still in cache.  The residual half scatters
-# a block's per-cell values into a block of zeros and multiplies or sums
-# that.  One slack evaluation (mean of the row and column phases' forms)
-# at 1000 x 2000, K = 5, p_obs 0.1, BLAS on one thread, medians of 15
-# alternating rounds in each of 4 runs: the dense product and gather took
-# 3.1-3.2 ms; blocks of 2^13 ... 2^18 cells 2.8-3.7, 2.1-2.4, 1.6-2.0,
-# 1.4-1.9, 1.4-1.8 and 2.2-2.5 ms (a 2 MiB L2 cache per core).  At
-# 400 x 1000 the dense form took 0.59 ms and 2^15 ... 2^18 cells 0.35,
-# 0.32, 0.29 and 0.44 ms; at 1000 x 2000, p_obs 0.3, 3.9 ms and 2.2, 2.0,
-# 1.9 and 3.0 ms.  The residual half's row and column gradient products
-# (scatter included, medians of 7 rounds, same box) at 1000 x 2000, p_obs
-# 0.1: dense 2.7 and 2.2 ms; 2^14 ... 2^18 cells 2.0 / 2.1, 1.5 / 1.4-1.5,
-# 1.4 / 1.2-1.3, 1.5-1.6 / 1.4 and 2.9-3.1 / 2.4-3.0 ms.  At 400 x 1000:
-# dense 0.50 / 0.43 ms, blocks 0.39 / 0.38, 0.34 / 0.32, 0.28 / 0.24,
-# 0.33 / 0.30 and 0.48 / 0.44 ms; at 1000 x 2000, p_obs 0.3, dense 3.3 /
-# 2.8 ms, blocks 3.3 / 3.5, 2.7 / 2.7, 2.7 / 2.6, 2.7 / 2.4 and 4.4 / 3.8.
-# 2^16 and 2^17 tie; the smaller keeps the workspace smaller, and every
-# multi-member stack (_BATCH_CELLS) stays one block.
+# B x Q x N arrays (BENCH_23.json, slack_kernel_block_sweep;
+# BENCH_27.json, block_cells_residual_half)
 _BLOCK_CELLS = 1 << 16
 
 
@@ -424,15 +381,12 @@ def _col_objectives(C, cell_ll, work, gamma):
     return -nll + 0.5 * gamma * (C * C).sum(axis=0)
 
 
-def _lipschitz(A, maskf, ridge, link):
-    """Gradient Lipschitz constant of the subproblem of every row of the
-    float mask: the hazard constant times the largest eigenvalue of its
-    masked Gram sum_j maskf[i, j] a_j a_j^T over the columns of A, plus
-    ridge, floored at _L_FLOOR.  Question rows pass C_aug and the mask,
-    learner columns W (without the difficulty column) transposed and the
-    mask transposed.  maskf may instead be a function of A that gives the
-    Grams, as a workspace's row_grams and col_grams do block by block."""
-    gram = maskf(A) if callable(maskf) else masked_gram(A, maskf)
+def _lipschitz(gram, ridge, link):
+    """Gradient Lipschitz constant of each subproblem from its masked Gram
+    (a stack of d x d): the hazard constant times the Gram's largest
+    eigenvalue, plus ridge, floored at _L_FLOOR.  Question rows pass the
+    workspace's row_grams of C_aug, learner columns its col_grams of W
+    (without the difficulty column) transposed."""
     sig2 = np.clip(np.linalg.eigvalsh(gram)[:, -1], 0.0, None)
     return np.maximum(scalar_lipschitz(link) * sig2 + ridge, _L_FLOOR)
 
@@ -492,7 +446,7 @@ def _phase_w(W_aug, C_aug, work, lam, mu_w, link, iters):
     log-likelihoods of the incoming rows on entry and of the returned rows
     on exit.
     """
-    t = 1.0 / _lipschitz(C_aug, work.row_grams, mu_w, link)
+    t = 1.0 / _lipschitz(work.row_grams(C_aug), mu_w, link)
     lam_t = (lam * t)[:, None]
     t = t[:, None]
     f_old = _row_objectives(W_aug, work.loglik, work, lam, mu_w)
@@ -516,7 +470,7 @@ def _phase_c(C, W_aug, work, gamma, link, iters):
     enters through the rescaling prox, so no sign constraint applies.
     The step sizes, the accept-if-improved guard and the cache work as in
     _phase_w."""
-    t = 1.0 / _lipschitz(W_aug[:, :-1].T, work.col_grams, 0.0, link)  # one per column
+    t = 1.0 / _lipschitz(work.col_grams(W_aug[:, :-1].T), 0.0, link)  # one per column
     shrink = 1.0 + gamma * t
     f_old = _col_objectives(C, work.loglik, work, gamma)
 

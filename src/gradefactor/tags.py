@@ -112,11 +112,10 @@ def solve_bpdn_plus(T, w, eta):
 
 
 def default_eta_grid(T, w):
-    """Geometric grid below the smallest eta that zeroes the solution, for
-    a length-Q w; for a Q x K stack, one grid per column (_N_ETAS x K)."""
+    """Geometric grid below the smallest eta that zeroes the solution, one
+    per column of the Q x K stack w (_N_ETAS x K)."""
     eta_max = np.abs(np.asarray(T).T @ np.asarray(w)).max(axis=0)
-    steps = np.geomspace(0.5, 1e-3, _N_ETAS)
-    return eta_max * steps.reshape(steps.shape + (1,) * np.ndim(eta_max))
+    return eta_max * np.geomspace(0.5, 1e-3, _N_ETAS)[:, None]
 
 
 def fit_tag_map(W, tag_matrix: TagMatrix):

@@ -24,7 +24,7 @@ from scipy import special
 import gradefactor
 from gradefactor import bayes, mle
 from gradefactor.links import LinkKind
-from gradefactor.model import ResponseMatrix
+from gradefactor.model import ResponseMatrix, masked_gram
 
 
 def phi_scalar(z, link):
@@ -135,13 +135,15 @@ def _workspace(data, W_aug, C_aug, link):
 def row_lipschitz(C_aug, mask, mu_w, link):
     """Step-size constant L of one question row with design C_aug."""
     maskf = np.asarray(mask, dtype=float)[None, :]
-    return float(mle._lipschitz(np.asarray(C_aug, dtype=float), maskf, mu_w, link)[0])
+    gram = masked_gram(np.asarray(C_aug, dtype=float), maskf)
+    return float(mle._lipschitz(gram, mu_w, link)[0])
 
 
 def col_lipschitz(W, mask, link):
     """Step-size constant L of one learner column with concept weights W."""
     maskf = np.asarray(mask, dtype=float)[None, :]
-    return float(mle._lipschitz(np.asarray(W, dtype=float).T, maskf, 0.0, link)[0])
+    gram = masked_gram(np.asarray(W, dtype=float).T, maskf)
+    return float(mle._lipschitz(gram, 0.0, link)[0])
 
 
 def row_gradient(w, C_aug, y, mask, mu_w, link):

@@ -111,20 +111,20 @@ class TestTruncnorm:
         assert stats.kstest(1.0 - surv, "uniform").pvalue > 0.001
 
     @pytest.mark.parametrize("mean", [0.3, -5.0, -40.0])
-    def test_scalar_call_returns_float(self, mean):
+    def test_scalar_mean_draws_one_element(self, mean):
         # -5 and -40 put the truncation point in the log-space tail; the
         # draw is the one a one-element array call makes
         draw = sample_truncnorm(mean, 1.0, np.random.default_rng(43))
         array = sample_truncnorm(np.array([mean]), 1.0, np.random.default_rng(43))
-        assert type(draw) is float
-        assert draw > 0
-        assert draw == array[0]
+        assert draw.shape == (1,)
+        assert draw[0] > 0
+        assert draw[0] == array[0]
 
-    def test_scalar_rect_normal_in_the_tail_returns_float(self):
+    def test_rect_normal_in_the_tail_is_positive(self):
         # theta = 0 - 6 * 1 is 6 sd below 0
-        draw = sample_rect_normal(0.0, 1.0, 6.0, np.random.default_rng(44))
-        assert type(draw) is float
-        assert draw > 0
+        draw = sample_rect_normal(np.array([0.0]), 1.0, 6.0, np.random.default_rng(44))
+        assert draw.shape == (1,)
+        assert draw[0] > 0
 
     def test_draw_below_float_resolution_ends(self):
         # the excess over 0 is about var / |mean| = 1e-16, below the

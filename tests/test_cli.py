@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -18,7 +19,7 @@ from gradefactor.io_formats import (
     write_model_json,
     write_response_csv,
 )
-from gradefactor.mle import FitTrace, MLConfig
+from gradefactor.mle import FitTrace, MLConfig, fit_ml
 from gradefactor.model import FactorModel, ResponseMatrix
 from gradefactor.synth import SynthConfig, generate_synthetic
 
@@ -402,7 +403,8 @@ class TestFit:
         assert main(["fit", "--method", "ml", "--data",
                      str(sim_dir / "synth_responses.csv"),
                      "--out", str(tmp_path / "m.json"), "--k", "2"]) == 0
-        assert calls == [(MLConfig(lambda_l1=0.1), {})]
+        threads = inspect.signature(fit_ml).parameters["n_threads"].default
+        assert calls == [(MLConfig(lambda_l1=0.1), {"n_threads": threads})]
 
     @pytest.mark.parametrize("option", [
         ["--mu-w", "0", "--outer-tol", "0", "--max-outer", "3"],
@@ -467,6 +469,32 @@ class TestModelJsonIndices:
         self.write_model(path, triplet)
         rc = main(["graph", "--model", str(path), "--out", str(tmp_path / "g.dot")])
         assert rc == 2
+
+    @pytest.mark.parametrize("entry", [[0], [0, 0], [0, 0, 1.0, 2.0], 5, {"i": 0}],
+                             ids=["one", "two", "four", "int", "object"])
+    def test_malformed_triplet_named(self, tmp_path, capsys, entry):
+        path = tmp_path / "m.json"
+        self.write_model(path, [1, 1, 0.5])
+        payload = json.loads(path.read_text())
+        payload["W"].append(entry)
+        path.write_text(json.dumps(payload))
+        rc = main(["eval", "--model", str(path), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: W entry 1 is not a (question, concept, "
+                       "value) triplet\n")
+
+    def test_repeated_pair_rejected(self, tmp_path, capsys):
+        # a repeated pair must not let the last entry win silently
+        path = tmp_path / "m.json"
+        self.write_model(path, [0, 0, 1.0])
+        payload = json.loads(path.read_text())
+        payload["W"].append([0, 0, 2.0])
+        path.write_text(json.dumps(payload))
+        rc = main(["eval", "--model", str(path), "--out", str(tmp_path / "r.json")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: W gives question 0, concept 0 more than once\n"
 
     @pytest.mark.parametrize("command", ["graph", "eval"])
     @pytest.mark.parametrize("edit", [

@@ -34,6 +34,12 @@ def nn_omp_row_reference(D, target, s):
     return coef
 
 
+def omp_row(D, y, s):
+    """nn_omp's coefficients for one fully observed target row."""
+    Y = np.asarray(y, dtype=float)[None]
+    return nn_omp(D, Y, s, np.ones(Y.shape, dtype=bool))[0]
+
+
 def assert_matches_row_loop(D, Y, s, mask):
     got = nn_omp(D, Y, s, mask)
     assert got.shape == (len(Y), len(D))
@@ -58,18 +64,18 @@ class CountingNnls:
 
 class TestNnOmp:
     def test_zero_budget(self):
-        out = nn_omp(np.eye(3), np.ones(3), 0)
+        out = omp_row(np.eye(3), np.ones(3), 0)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_orthonormal_exact_pick(self):
         D = np.eye(4)
         target = 3.0 * D[2]
-        out = nn_omp(D, target, 1)
+        out = omp_row(D, target, 1)
         np.testing.assert_allclose(out, [0, 0, 3.0, 0], atol=1e-12)
 
     def test_no_admissible_atom(self):
         D = -np.ones((3, 4))
-        out = nn_omp(D, np.ones(4), 2)
+        out = omp_row(D, np.ones(4), 2)
         np.testing.assert_array_equal(out, 0.0)
 
     def test_support_matches_exhaustive_nnls(self):
@@ -81,7 +87,7 @@ class TestNnOmp:
             true_support = rng.choice(4, size=2, replace=False)
             coefs = rng.uniform(0.5, 2.0, size=2)
             target = coefs @ D[true_support]
-            out = nn_omp(D, target, 2)
+            out = omp_row(D, target, 2)
             got = set(int(i) for i in np.flatnonzero(out > 1e-8))
 
             best_err, best_support = np.inf, None
@@ -114,7 +120,7 @@ class TestNnOmp:
         D = rng.normal(size=(6, 10))
         target = rng.normal(size=10)
         for s in range(7):
-            out = nn_omp(D, target, s)
+            out = omp_row(D, target, s)
             assert np.count_nonzero(out) <= s
             assert (out >= 0).all()
 
@@ -143,7 +149,7 @@ class TestNnOmpStack:
         y = rng.normal(size=9)
         ref = nn_omp_row_reference(D, y, 4)
         nnls = CountingNnls(monkeypatch)
-        got = nn_omp(D, y, 4)
+        got = omp_row(D, y, 4)
         assert nnls.calls >= 1
         assert got[0] == 0 or got[3] == 0
         np.testing.assert_array_equal(got != 0, ref != 0)
@@ -154,18 +160,18 @@ class TestNnOmpStack:
         D = np.linalg.qr(rng.normal(size=(12, 4)))[0].T  # orthonormal atoms
         W_true = rng.uniform(0.5, 2.0, size=(10, 4))
         nnls = CountingNnls(monkeypatch)
-        got = nn_omp(D, W_true @ D, 4)
+        got = nn_omp(D, W_true @ D, 4, np.ones((10, 12), dtype=bool))
         assert nnls.calls == 0
         np.testing.assert_allclose(got, W_true, atol=1e-12)
 
     def test_one_row_keeps_its_shape(self):
         D = np.eye(3)
-        assert nn_omp(D, np.array([0.0, 2.0, 1.0]), 1).shape == (3,)
-        assert nn_omp(D, np.array([[0.0, 2.0, 1.0]]), 1).shape == (1, 3)
+        target = np.array([[0.0, 2.0, 1.0]])
+        assert nn_omp(D, target, 1, np.ones(target.shape, dtype=bool)).shape == (1, 3)
 
     def test_budget_above_atom_count_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            nn_omp(np.eye(2), np.ones((3, 2)), [1, 3, 0])
+            nn_omp(np.eye(2), np.ones((3, 2)), [1, 3, 0], np.ones((3, 2), dtype=bool))
 
 
 def masked_sse(Y, w, c, mask):

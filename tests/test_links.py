@@ -168,7 +168,7 @@ class TestProbitHazard:
 
     def test_value_at_zero(self):
         assert probit_hazard(0.0) == pytest.approx(math.sqrt(2.0 / math.pi), rel=1e-12)
-        assert isinstance(probit_hazard(0.0), float)  # scalar in, scalar out
+        assert probit_hazard(0.0).shape == ()  # 0-d in, 0-d out
 
     def test_far_tail_matches_mills_oracle(self):
         x = -20.0

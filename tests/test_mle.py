@@ -23,7 +23,7 @@ from gradefactor.mle import (
     _phase_c,
     _phase_w,
 )
-from gradefactor.model import FactorModel, ResponseMatrix, log_likelihood
+from gradefactor.model import FactorModel, ResponseMatrix, log_likelihood, masked_gram
 from gradefactor.synth import SynthConfig, generate_synthetic
 
 from helpers import (
@@ -691,11 +691,11 @@ class TestBlockedResidual:
         data, W_aug, C, work = self.workspace(case, monkeypatch)
         maskf, link = data.mask.astype(float), LinkKind.PROBIT
         A = with_ones(C)
-        self.check(mle._lipschitz(A, work.row_grams, self.MU_W, link),
-                   mle._lipschitz(A, maskf, self.MU_W, link), case)
+        self.check(mle._lipschitz(work.row_grams(A), self.MU_W, link),
+                   mle._lipschitz(masked_gram(A, maskf), self.MU_W, link), case)
         A = W_aug[:, :-1].T
-        self.check(mle._lipschitz(A, work.col_grams, 0.0, link),
-                   mle._lipschitz(A, maskf.T, 0.0, link), case)
+        self.check(mle._lipschitz(work.col_grams(A), 0.0, link),
+                   mle._lipschitz(masked_gram(A, maskf.T), 0.0, link), case)
 
     def test_stack_in_row_blocks_equals_members_alone(self, monkeypatch):
         # a stack of 3 members in blocks of 2 rows of each, and each member

@@ -205,7 +205,7 @@ class TestFitTagMap:
             # the scan one concept at a time: best error among <= 3 tags,
             # else the sparsest fit, largest eta first on ties
             cands = [(eta, solve_bpdn_plus(T, W[:, k], eta))
-                     for eta in default_eta_grid(T, W[:, k])]
+                     for eta in default_eta_grid(T, W[:, [k]])[:, 0]]
             kept = [(float(np.sum((W[:, k] - T @ a) ** 2)), i)
                     for i, (eta, a) in enumerate(cands) if np.count_nonzero(a) <= 3]
             pick = (min(kept)[1] if kept else
@@ -221,16 +221,16 @@ class TestFitTagMap:
         assert grid.shape == (5, 3)
         for k in range(3):
             # T^T W and T^T w_k may sum in different orders
-            np.testing.assert_allclose(grid[:, k], default_eta_grid(T, W[:, k]),
+            np.testing.assert_allclose(grid[:, k], default_eta_grid(T, W[:, [k]])[:, 0],
                                        rtol=1e-14)
         np.testing.assert_array_equal(grid[:, 1], 0.0)
 
     def test_eta_grid_shape(self):
         T = np.eye(4)
-        w = np.array([1.0, 0.5, 0.0, 0.0])
+        w = np.array([[1.0], [0.5], [0.0], [0.0]])
         grid = default_eta_grid(T, w)
-        assert len(grid) == 5
-        assert (np.diff(grid) < 0).all()
+        assert grid.shape == (5, 1)
+        assert (np.diff(grid, axis=0) < 0).all()
 
 
 def test_read_tags_csv_roundtrip(tmp_path):
